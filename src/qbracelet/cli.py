@@ -27,6 +27,13 @@ def _ring(mod: int | None):
     return EXACT if mod is None else Mod(mod)
 
 
+def _config(**kwargs) -> RunConfig:
+    try:
+        return RunConfig(**kwargs)
+    except ValueError as exc:  # a malformed QBRACELET_ORDER_CAP
+        raise click.ClickException(str(exc)) from None
+
+
 def _check_cap(order: int, mod: int | None, config: RunConfig) -> None:
     cap = config.order_cap_exact if mod is None else config.order_cap_mod
     if order > cap:
@@ -70,7 +77,7 @@ def coeffs(source: str, n: int, mod: int | None, fmt: str) -> None:
     """Print coefficients 0..N of SOURCE."""
     if n < 0:
         raise click.ClickException("N must be >= 0")
-    config = RunConfig()
+    config = _config()
     _check_cap(n, mod, config)
     try:
         src = parse_source(source)
@@ -99,7 +106,7 @@ def dissect(
     if order < 0:
         raise click.ClickException("order must be >= 0")
     full_order = step * order + residue
-    config = RunConfig()
+    config = _config()
     _check_cap(full_order, mod, config)
     try:
         src = parse_source(source)
@@ -180,7 +187,7 @@ def _verify_csv(reports) -> None:
 @click.option("--claims", "claim_ids", multiple=True,
               help="Claim ids, e.g. C6 or C15[p=5,r=2,a=1,i=1]; repeatable.")
 @click.option("--all", "run_all", is_flag=True, help="Run the whole catalog.")
-@click.option("--nmax", type=int, default=None,
+@click.option("--nmax", type=click.IntRange(min=0), default=None,
               help="Check n <= NMAX for every claim (default: per-claim).")
 @click.option(
     "--format", "fmt", type=click.Choice(["text", "json", "csv"]), default="text"
@@ -205,7 +212,7 @@ def verify_cmd(
         issues = []
     else:
         selected, issues = resolve_selection(ids)
-    config = RunConfig(n_max=nmax, jobs=jobs)
+    config = _config(n_max=nmax, jobs=jobs)
     reports = verify(selected, config)
     reports.extend(issue_report(issue) for issue in issues)
     if fmt == "json":
@@ -223,7 +230,7 @@ def verify_cmd(
 @click.option("--amax", type=int, required=True, help="Largest progression step.")
 @click.option("--mod", "moduli", type=int, multiple=True, required=True,
               help="Modulus to test; repeatable.")
-@click.option("--nmax", type=int, default=100, show_default=True,
+@click.option("--nmax", type=click.IntRange(min=0), default=100, show_default=True,
               help="Check n <= NMAX along each progression.")
 @click.option(
     "--format", "fmt", type=click.Choice(["text", "json", "csv"]), default="text"
@@ -235,7 +242,7 @@ def search(k: int, amax: int, moduli: tuple[int, ...], nmax: int, fmt: str) -> N
         raise click.ClickException("k must be >= 3")
     if amax < 1:
         raise click.ClickException("amax must be >= 1")
-    config = RunConfig()
+    config = _config()
     order = amax * nmax + amax - 1
     _check_cap(order, max(moduli), config)
     source = bracelet_source(k)

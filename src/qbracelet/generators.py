@@ -5,30 +5,102 @@ b_l(n)      (q^l;q^l)/(q;q)                        l-regular partitions
 Delta_k(n)  (-q;q)/((q;q)^2 (-q^{2k+1};q^{2k+1}))  broken k-diamond
 B_k(n)      (-q;q)/((q;q)^{k-1} (-q^k;q^k))        k dots bracelet
 
-The builders expand through the all-Euler rewriting of each quotient
-(every (-q^a;q^a) factor replaced by (q^{2a};q^{2a})/(q^a;q^a)), so only
-sparse pentagonal series, powers, and one inversion are involved; the
-definitional factorizations are kept as cross-check material for tests.
+Normal form.  Replacing every (-q^a;q^a) by (q^{2a};q^{2a})/(q^a;q^a) turns
+each family into an eta-quotient prod_t (q^t;q^t)^{e_t}, written as the
+exponent map {t: e_t}; B_k, for instance, is {2: 1, k: 1, 1: -k, 2k: -1}
+(k >= 3 keeps the four steps distinct).  :func:`eta_quotient` is the one
+expander, and the family builders only state their maps.
+
+Frobenius.  Over a prime modulus p, (q^t;q^t)^p == (q^{tp};q^{tp}) (mod p),
+so each exponent is split into base-p digits, (q^t;q^t)^{d p^i} becoming
+(q^{t p^i};q^{t p^i})^d, before equal steps are merged again and zero
+exponents dropped.  This is where the paper's proofs start, and the
+cancellation it exposes is the saving: B_125 mod 5 is {2: 1, 250: -1}.
+The congruence holds only mod p, so prime-power, composite and exact rings
+keep their exponents as they are.
+
+Inflation.  The numerator and the denominator are each a product over
+steps sharing a gcd g; such a product is a series in q^g, so it is built at
+order n // g over the steps t/g and inflated by g, which is exact because
+an inflated series is zero off the multiples of g.  The denominator is
+inverted once, at its reduced order, and the two sides are multiplied once.
+
+The definitional factorizations below are kept as cross-check material for
+the independent binomial-chain route in :mod:`qbracelet.products`.
 """
 
 from __future__ import annotations
 
+from functools import reduce
+from math import gcd
+from operator import mul
+
+from .oracles import is_prime
 from .products import ProductSpec, product_series
 from .rings import EXACT, CoefficientRing
 from .series import TruncatedSeries
 from .theta import euler_series
 
 
+def _frobenius_split(exponents: dict[int, int], p: int) -> dict[int, int]:
+    """Rewrite (q^t;q^t)^e as prod_i (q^{t p^i};q^{t p^i})^{d_i} mod p,
+    where d_i are the base-p digits of |e| carrying the sign of e."""
+    split: dict[int, int] = {}
+    for t, e in exponents.items():
+        sign, e = (1 if e > 0 else -1), abs(e)
+        while e:
+            e, d = divmod(e, p)
+            split[t] = split.get(t, 0) + sign * d
+            t *= p
+    return split
+
+
+def _euler_product(
+    side: dict[int, int], n: int, ring: CoefficientRing, invert: bool
+) -> TruncatedSeries | None:
+    """prod_t (q^t;q^t)^{e_t} (inverted if asked) for positive e_t, built
+    at order n // g over the steps t/g and inflated by g = gcd of the steps."""
+    if not side:
+        return None
+    g = reduce(gcd, side)
+    m = n // g
+    powers = (euler_series(m, t // g, ring).pow(e) for t, e in sorted(side.items()))
+    product = reduce(mul, powers)
+    if invert:
+        product = product.invert()
+    return product.inflate(g).resized(n)
+
+
+def eta_quotient(
+    exponents: dict[int, int], n: int, ring: CoefficientRing = EXACT
+) -> TruncatedSeries:
+    """Expand prod_t (q^t;q^t)^{e_t} to order n; keys are steps t >= 1."""
+    if any(t < 1 for t in exponents):
+        raise ValueError("eta-quotient steps must be >= 1")
+    p = ring.modulus
+    # the split changes nothing once p exceeds every exponent, which also
+    # keeps the primality test away from large moduli
+    top = max(map(abs, exponents.values()), default=0)
+    if p is not None and p <= top and is_prime(p):
+        exponents = _frobenius_split(exponents, p)
+    live = {t: e for t, e in exponents.items() if e and t <= n}
+    num = _euler_product({t: e for t, e in live.items() if e > 0}, n, ring, False)
+    den = _euler_product({t: -e for t, e in live.items() if e < 0}, n, ring, True)
+    if num is None:
+        return den if den is not None else TruncatedSeries.one(ring, n)
+    return num if den is None else num * den
+
+
 def gen_partition(n: int, ring: CoefficientRing = EXACT) -> TruncatedSeries:
     """Coefficients p(0)..p(n)."""
-    return euler_series(n, 1, ring).invert()
+    return eta_quotient({1: -1}, n, ring)
 
 
 def gen_l_regular(ell: int, n: int, ring: CoefficientRing = EXACT) -> TruncatedSeries:
     """Coefficients b_ell(0)..b_ell(n)."""
     if ell < 2:
         raise ValueError("ell must be >= 2")
-    return euler_series(n, ell, ring) * euler_series(n, 1, ring).invert()
+    return eta_quotient({ell: 1, 1: -1}, n, ring)
 
 
 def gen_broken_diamond(k: int, n: int, ring: CoefficientRing = EXACT) -> TruncatedSeries:
@@ -36,18 +108,14 @@ def gen_broken_diamond(k: int, n: int, ring: CoefficientRing = EXACT) -> Truncat
     if k < 1:
         raise ValueError("k must be >= 1")
     m = 2 * k + 1
-    num = euler_series(n, 2, ring) * euler_series(n, m, ring)
-    den = euler_series(n, 1, ring).pow(3) * euler_series(n, 2 * m, ring)
-    return num * den.invert()
+    return eta_quotient({2: 1, m: 1, 1: -3, 2 * m: -1}, n, ring)
 
 
 def gen_bracelet(k: int, n: int, ring: CoefficientRing = EXACT) -> TruncatedSeries:
     """Coefficients B_k(0)..B_k(n) of the k dots bracelet family."""
     if k < 3:
         raise ValueError("k must be >= 3")
-    num = euler_series(n, 2, ring) * euler_series(n, k, ring)
-    den = euler_series(n, 1, ring).pow(k) * euler_series(n, 2 * k, ring)
-    return num * den.invert()
+    return eta_quotient({2: 1, k: 1, 1: -k, 2 * k: -1}, n, ring)
 
 
 def bracelet_definition_spec(k: int) -> ProductSpec:

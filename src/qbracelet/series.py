@@ -105,14 +105,19 @@ class TruncatedSeries:
         """Integer power by repeated squaring; negative e inverts the result."""
         if e < 0:
             return self.pow(-e).invert()
-        result = TruncatedSeries.one(self.ring, self.order)
+        if e == 0:
+            return TruncatedSeries.one(self.ring, self.order)
         base = self
+        while not e & 1:
+            base = base * base
+            e >>= 1
+        result = base
+        e >>= 1
         while e:
+            base = base * base
             if e & 1:
                 result = result * base
             e >>= 1
-            if e:
-                base = base * base
         return result
 
     def invert(self) -> "TruncatedSeries":

@@ -15,7 +15,7 @@ import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .claims import CongruenceClaim, SelectionIssue, claim_sort_key, required_truncation
 from .rings import EXACT, CoefficientRing, Mod
@@ -34,9 +34,20 @@ def _env_cap() -> int | None:
     if raw is None:
         return None
     try:
-        return int(raw)
+        cap = int(raw)
     except ValueError:
         raise ValueError(f"{ORDER_CAP_ENV} must be an integer, got {raw!r}") from None
+    if cap < 0:
+        raise ValueError(f"{ORDER_CAP_ENV} must be >= 0, got {cap}")
+    return cap
+
+
+def _default_cap(default: int):
+    def factory() -> int:
+        cap = _env_cap()
+        return default if cap is None else cap
+
+    return field(default_factory=factory)
 
 
 @dataclass
@@ -45,19 +56,21 @@ class RunConfig:
 
     ``n_max = None`` means every claim uses its own default; the order caps
     bound how far any one series may be expanded (the environment variable
-    ``QBRACELET_ORDER_CAP`` overrides both when set).
+    ``QBRACELET_ORDER_CAP`` replaces both defaults when set, never a cap
+    passed explicitly).
     """
 
     n_max: int | None = None
-    order_cap_exact: int = DEFAULT_ORDER_CAP_EXACT
-    order_cap_mod: int = DEFAULT_ORDER_CAP_MOD
+    order_cap_exact: int = _default_cap(DEFAULT_ORDER_CAP_EXACT)
+    order_cap_mod: int = _default_cap(DEFAULT_ORDER_CAP_MOD)
     jobs: int = 1
 
     def __post_init__(self) -> None:
-        cap = _env_cap()
-        if cap is not None:
-            self.order_cap_exact = cap
-            self.order_cap_mod = cap
+        if self.n_max is not None and self.n_max < 0:
+            raise ValueError(f"n_max must be >= 0, got {self.n_max}")
+        for name in ("order_cap_exact", "order_cap_mod"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
 
     def cap_for(self, ring: CoefficientRing) -> int:
         return self.order_cap_exact if ring.is_exact else self.order_cap_mod

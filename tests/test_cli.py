@@ -69,6 +69,17 @@ def test_coeffs_cap(runner, monkeypatch):
     assert "cap" in result.output
 
 
+@pytest.mark.parametrize(
+    "raw, message",
+    [("abc", "must be an integer, got 'abc'"), ("-5", "must be >= 0, got -5")],
+)
+def test_bad_env_cap_is_a_one_line_error(runner, monkeypatch, raw, message):
+    monkeypatch.setenv("QBRACELET_ORDER_CAP", raw)
+    result = run(runner, "coeffs", "partition", "5")
+    assert result.exit_code == 1
+    assert result.output.splitlines() == [f"Error: QBRACELET_ORDER_CAP {message}"]
+
+
 def test_dissect_vanishing_progression(runner):
     result = run(runner, "dissect", "bracelet:5", "10", "6", "--mod", "2", "-N", "100")
     assert result.exit_code == 0
@@ -141,6 +152,20 @@ def test_verify_csv(runner):
 def test_verify_requires_selection(runner):
     result = run(runner, "verify")
     assert result.exit_code != 0
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("verify", "--all", "--nmax", "-1"),
+        ("search", "5", "--amax", "3", "--nmax", "-1", "--mod", "2"),
+    ],
+)
+def test_negative_nmax_is_a_usage_error(runner, args):
+    result = run(runner, *args)
+    assert result.exit_code == 2
+    assert "Invalid value for '--nmax'" in result.output
+    assert "Traceback" not in result.output
 
 
 def test_search_rediscovers_catalog_mod2(runner):

@@ -2,6 +2,8 @@
 eta-quotients."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qbracelet import (
     EXACT,
@@ -16,13 +18,16 @@ from qbracelet import (
     ramanujan_a,
     ramanujan_b,
 )
+from qbracelet.claims import default_catalog
 from qbracelet.generators import (
     RAMANUJAN_A_SPEC,
     bracelet_definition_spec,
     bracelet_intermediate_spec,
+    eta_quotient,
 )
-from qbracelet.oracles import count_l_regular, count_partitions
-from qbracelet.products import product_series
+from qbracelet.oracles import count_l_regular, count_partitions, is_prime
+from qbracelet.products import ProductSpec, product_series
+from qbracelet.sources import expand_source
 
 
 def test_partition_series_against_enumeration():
@@ -106,3 +111,91 @@ def test_ramanujan_a_matches_its_spec():
 def test_euler_quintic_assembly():
     n = 1000
     assert euler_quintic_rhs(n) == euler_series(n)
+
+
+FAMILY_KINDS = ("partition", "lregular", "brokendiamond", "bracelet")
+CROSS_ROUTE_ORDER = 600
+
+
+def _defining_spec(source):
+    """The defining product of a partition family, factor by factor."""
+    if source.kind == "partition":  # 1/(q;q)
+        return ProductSpec.of((-1, 1, 1, -1))
+    if source.kind == "lregular":  # (q^L;q^L)/(q;q)
+        ell = source.param
+        return ProductSpec.of((-1, ell, ell, 1), (-1, 1, 1, -1))
+    if source.kind == "brokendiamond":  # (-q;q)/((q;q)^2 (-q^m;q^m))
+        m = 2 * source.param + 1
+        return ProductSpec.of((1, 1, 1, 1), (-1, 1, 1, -2), (1, m, m, -1))
+    assert source.kind == "bracelet"
+    return bracelet_definition_spec(source.param)
+
+
+def _catalog_family_prime_pairs():
+    pairs = set()
+    for claim in default_catalog():
+        if claim.kind == "identity" or not is_prime(claim.modulus):
+            continue
+        for source in (claim.source, claim.rhs_source):
+            if source is not None and source.kind in FAMILY_KINDS:
+                pairs.add((source, claim.modulus))
+    return sorted(pairs, key=lambda pair: (pair[0].key(), pair[1]))
+
+
+@pytest.mark.parametrize("source, p", _catalog_family_prime_pairs(), ids=str)
+def test_catalog_prime_builds_match_definition(source, p):
+    # the Frobenius route against binomial chains that never use it
+    fast = expand_source(source, Mod(p), CROSS_ROUTE_ORDER)
+    spec = _defining_spec(source)
+    assert fast == product_series(spec, CROSS_ROUTE_ORDER, EXACT).reduce_mod(p)
+
+
+def test_eta_quotient_frobenius_collapse():
+    # B_125 == (q^2;q^2)/(q^250;q^250) and B_11 == (q^2;q^2)/(q^22;q^22) mod p
+    n = 600
+    assert gen_bracelet(125, n, Mod(5)) == eta_quotient({2: 1, 250: -1}, n, Mod(5))
+    assert gen_bracelet(11, n, Mod(11)) == eta_quotient({2: 1, 22: -1}, n, Mod(11))
+    assert eta_quotient({1: 5, 5: -1}, n, Mod(5)) == TruncatedSeries.one(Mod(5), n)
+
+
+def test_eta_quotient_edge_cases():
+    assert eta_quotient({}, 7) == TruncatedSeries.one(EXACT, 7)
+    assert eta_quotient({3: 0, 50: -2}, 20, Mod(3)) == TruncatedSeries.one(Mod(3), 20)
+    assert eta_quotient({1: 1}, 0) == TruncatedSeries.one(EXACT, 0)
+    assert eta_quotient({4: 1}, 30) == euler_series(30, 4)
+    with pytest.raises(ValueError):
+        eta_quotient({0: 1}, 10)
+
+
+# rings of the property test, each with the prime whose multiples it draws
+PROPERTY_RINGS = {2: 2, 3: 3, 5: 5, 7: 7, 11: 11, 25: 5, 4: 2, None: 3}
+
+
+@st.composite
+def eta_quotient_cases(draw):
+    modulus = draw(st.sampled_from(list(PROPERTY_RINGS)))
+    p = PROPERTY_RINGS[modulus]
+    n = draw(st.integers(0, 150))
+    exponents = {}
+    if draw(st.booleans()):
+        free = st.one_of(st.integers(-9, 9), st.integers(-3, 3).map(lambda d: d * p))
+        exponents = draw(st.dictionaries(st.integers(1, 40), free, max_size=4))
+    # (q^t;q^t)^{e p^i} (q^{t p^i};q^{t p^i})^{-e}, which is 1 mod p
+    cancelling = st.tuples(st.integers(1, 8), st.integers(1, 2), st.integers(-2, 2))
+    for t, i, e in draw(st.lists(cancelling, max_size=2)):
+        if p**i > 25:
+            i = 1
+        exponents[t] = exponents.get(t, 0) + e * p**i
+        exponents[t * p**i] = exponents.get(t * p**i, 0) - e
+    return exponents, n, modulus
+
+
+@settings(max_examples=150, deadline=None)
+@given(eta_quotient_cases())
+def test_eta_quotient_mod_m_is_exact_reduced(case):
+    exponents, n, modulus = case
+    exact = eta_quotient(exponents, n, EXACT)
+    spec = ProductSpec.of(*((-1, t, t, e) for t, e in exponents.items() if e))
+    assert exact == product_series(spec, n, EXACT)
+    if modulus is not None:
+        assert eta_quotient(exponents, n, Mod(modulus)) == exact.reduce_mod(modulus)

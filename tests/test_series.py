@@ -11,6 +11,7 @@ from qbracelet import (
     RingMismatchError,
     TruncatedSeries,
 )
+from qbracelet import _kernel
 from qbracelet.oracles import count_partitions
 from qbracelet.products import PochhammerFactor, pochhammer_series
 
@@ -74,6 +75,25 @@ def test_ring_mismatch_raises():
         _ = x * y
     with pytest.raises(RingMismatchError):
         x.equal_upto(y, 1)
+
+
+@pytest.mark.parametrize("e, convolutions", [(0, 0), (1, 0), (2, 1), (5, 3), (8, 3)])
+def test_pow_convolution_count(monkeypatch, e, convolutions):
+    calls = []
+    real = _kernel.conv_mod
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(_kernel, "conv_mod", counting)
+    x = series(Mod(7), 1, 3, 5, 2)
+    power = x.pow(e)
+    assert len(calls) == convolutions
+    expected = TruncatedSeries.one(Mod(7), 3)
+    for _ in range(e):
+        expected = expected * x
+    assert power == expected
 
 
 def test_invert_geometric():

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from qbracelet.claims import CongruenceClaim, resolve_selection
 from qbracelet.sources import bracelet_source, euler_source
 from qbracelet.verify import (
@@ -93,6 +95,28 @@ def test_env_cap_override(monkeypatch):
     assert config.order_cap_exact == 200
     (report,) = verify([make_claim()], config)
     assert report.status == "error"
+
+
+def test_env_cap_replaces_only_defaults(monkeypatch):
+    monkeypatch.setenv("QBRACELET_ORDER_CAP", "10")
+    config = RunConfig(order_cap_mod=99_999)
+    assert config.order_cap_mod == 99_999
+    assert config.order_cap_exact == 10
+
+
+@pytest.mark.parametrize("raw", ["abc", "-1"])
+def test_env_cap_must_be_a_nonnegative_integer(monkeypatch, raw):
+    monkeypatch.setenv("QBRACELET_ORDER_CAP", raw)
+    with pytest.raises(ValueError, match="QBRACELET_ORDER_CAP"):
+        RunConfig()
+
+
+@pytest.mark.parametrize(
+    "kw", [{"n_max": -1}, {"order_cap_exact": -1}, {"order_cap_mod": -1}]
+)
+def test_run_config_rejects_negative_values(kw):
+    with pytest.raises(ValueError, match=">= 0"):
+        RunConfig(**kw)
 
 
 def test_series_cache_shared_across_claims():
