@@ -1,6 +1,8 @@
 """qbracelet: truncated q-series arithmetic and a congruence verification
 harness for partition-family counting functions (partitions, l-regular
-partitions, broken k-diamond partitions, k dots bracelet partitions)."""
+partitions, broken k-diamond partitions, k dots bracelet partitions).
+
+The names imported here are the package's public API."""
 
 from ._kernel import BACKEND, HAVE_SPEEDUPS
 from .claims import (
@@ -57,54 +59,3 @@ from .theta import (
 from .verify import RunConfig, SeriesCache, VerificationReport, verify
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "BACKEND",
-    "HAVE_SPEEDUPS",
-    "CoefficientRing",
-    "EXACT",
-    "Mod",
-    "NotInvertibleError",
-    "RingMismatchError",
-    "TruncatedSeries",
-    "PochhammerFactor",
-    "ProductSpec",
-    "pochhammer_series",
-    "product_series",
-    "theta_f",
-    "euler_series",
-    "jacobi_triple_check",
-    "PrimeContext",
-    "UnsupportedSpecializationError",
-    "p_dissection_f",
-    "gen_partition",
-    "gen_l_regular",
-    "gen_broken_diamond",
-    "gen_bracelet",
-    "ramanujan_a",
-    "ramanujan_b",
-    "euler_quintic_rhs",
-    "count_partitions",
-    "count_l_regular",
-    "partition_numbers",
-    "legendre_symbol",
-    "is_prime",
-    "SeriesSource",
-    "parse_source",
-    "expand_source",
-    "CongruenceClaim",
-    "ClaimFamily",
-    "InstantiationError",
-    "VacuousFamilyError",
-    "builtin_claims",
-    "default_catalog",
-    "families",
-    "instantiate",
-    "required_truncation",
-    "resolve_selection",
-    "RunConfig",
-    "SeriesCache",
-    "VerificationReport",
-    "verify",
-    "__version__",
-]

@@ -105,6 +105,10 @@ def dissect(
     """Print coefficients 0..N of the progression STEP*n + RESIDUE of SOURCE."""
     if order < 0:
         raise click.ClickException("order must be >= 0")
+    if step < 1:
+        raise click.ClickException("STEP must be >= 1")
+    if not 0 <= residue < step:
+        raise click.ClickException("RESIDUE must satisfy 0 <= RESIDUE < STEP")
     full_order = step * order + residue
     config = _config()
     _check_cap(full_order, mod, config)
@@ -192,13 +196,8 @@ def _verify_csv(reports) -> None:
 @click.option(
     "--format", "fmt", type=click.Choice(["text", "json", "csv"]), default="text"
 )
-@click.option("--jobs", type=int, default=1, help="Concurrent claim evaluations.")
 def verify_cmd(
-    claim_ids: tuple[str, ...],
-    run_all: bool,
-    nmax: int | None,
-    fmt: str,
-    jobs: int,
+    claim_ids: tuple[str, ...], run_all: bool, nmax: int | None, fmt: str
 ) -> None:
     """Verify congruence claims; exit code 0 iff nothing failed or errored."""
     if not run_all and not claim_ids:
@@ -212,7 +211,7 @@ def verify_cmd(
         issues = []
     else:
         selected, issues = resolve_selection(ids)
-    config = _config(n_max=nmax, jobs=jobs)
+    config = _config(n_max=nmax)
     reports = verify(selected, config)
     reports.extend(issue_report(issue) for issue in issues)
     if fmt == "json":

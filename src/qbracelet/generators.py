@@ -1,15 +1,17 @@
-"""Generating functions of the four partition families.
+"""Generating functions of the four partition families, and the one
+expander every product goes through.
 
 p(n)        1/(q;q)
 b_l(n)      (q^l;q^l)/(q;q)                        l-regular partitions
 Delta_k(n)  (-q;q)/((q;q)^2 (-q^{2k+1};q^{2k+1}))  broken k-diamond
 B_k(n)      (-q;q)/((q;q)^{k-1} (-q^k;q^k))        k dots bracelet
 
-Normal form.  Replacing every (-q^a;q^a) by (q^{2a};q^{2a})/(q^a;q^a) turns
-each family into an eta-quotient prod_t (q^t;q^t)^{e_t}, written as the
-exponent map {t: e_t}; B_k, for instance, is {2: 1, k: 1, 1: -k, 2k: -1}
-(k >= 3 keeps the four steps distinct).  :func:`eta_quotient` is the one
-expander, and the family builders only state their maps.
+Each family is stated as its defining :class:`ProductSpec`, as above.
+:func:`expand_product` derives the rest from the spec's normal form, which
+turns every (-q^t;q^t) into (q^{2t};q^{2t})/(q^t;q^t): B_k becomes the
+eta-quotient prod_t (q^t;q^t)^{e_t} with exponent map
+{1: -k, 2: 1, k: 1, 2k: -1}.  The eta map goes to :func:`eta_quotient`,
+any other factors to the binomial chains of :func:`product_series`.
 
 Frobenius.  Over a prime modulus p, (q^t;q^t)^p == (q^{tp};q^{tp}) (mod p),
 so each exponent is split into base-p digits, (q^t;q^t)^{d p^i} becoming
@@ -24,9 +26,6 @@ steps sharing a gcd g; such a product is a series in q^g, so it is built at
 order n // g over the steps t/g and inflated by g, which is exact because
 an inflated series is zero off the multiples of g.  The denominator is
 inverted once, at its reduced order, and the two sides are multiplied once.
-
-The definitional factorizations below are kept as cross-check material for
-the independent binomial-chain route in :mod:`qbracelet.products`.
 """
 
 from __future__ import annotations
@@ -91,31 +90,36 @@ def eta_quotient(
     return num if den is None else num * den
 
 
-def gen_partition(n: int, ring: CoefficientRing = EXACT) -> TruncatedSeries:
-    """Coefficients p(0)..p(n)."""
-    return eta_quotient({1: -1}, n, ring)
+def expand_product(
+    spec: ProductSpec, n: int, ring: CoefficientRing = EXACT
+) -> TruncatedSeries:
+    """Expand a product spec to order n through its normal form: the eta
+    map by :func:`eta_quotient`, the remaining factors by binomial chains."""
+    eta, general = spec.normal_form()
+    parts = []
+    if eta:
+        parts.append(eta_quotient(dict(eta), n, ring))
+    if general.factors:
+        parts.append(product_series(general, n, ring))
+    return reduce(mul, parts) if parts else TruncatedSeries.one(ring, n)
 
 
-def gen_l_regular(ell: int, n: int, ring: CoefficientRing = EXACT) -> TruncatedSeries:
-    """Coefficients b_ell(0)..b_ell(n)."""
+PARTITION_SPEC = ProductSpec.of((-1, 1, 1, -1))
+
+
+def l_regular_spec(ell: int) -> ProductSpec:
+    """The defining product (q^l;q^l)/(q;q)."""
     if ell < 2:
         raise ValueError("ell must be >= 2")
-    return eta_quotient({ell: 1, 1: -1}, n, ring)
+    return ProductSpec.of((-1, ell, ell, 1), (-1, 1, 1, -1))
 
 
-def gen_broken_diamond(k: int, n: int, ring: CoefficientRing = EXACT) -> TruncatedSeries:
-    """Coefficients Delta_k(0)..Delta_k(n)."""
+def broken_diamond_spec(k: int) -> ProductSpec:
+    """The defining product (-q;q)/((q;q)^2 (-q^{2k+1};q^{2k+1}))."""
     if k < 1:
         raise ValueError("k must be >= 1")
     m = 2 * k + 1
-    return eta_quotient({2: 1, m: 1, 1: -3, 2 * m: -1}, n, ring)
-
-
-def gen_bracelet(k: int, n: int, ring: CoefficientRing = EXACT) -> TruncatedSeries:
-    """Coefficients B_k(0)..B_k(n) of the k dots bracelet family."""
-    if k < 3:
-        raise ValueError("k must be >= 3")
-    return eta_quotient({2: 1, k: 1, 1: -k, 2 * k: -1}, n, ring)
+    return ProductSpec.of((1, 1, 1, 1), (-1, 1, 1, -2), (1, m, m, -1))
 
 
 def bracelet_definition_spec(k: int) -> ProductSpec:
@@ -123,6 +127,26 @@ def bracelet_definition_spec(k: int) -> ProductSpec:
     if k < 3:
         raise ValueError("k must be >= 3")
     return ProductSpec.of((1, 1, 1, 1), (-1, 1, 1, -(k - 1)), (1, k, k, -1))
+
+
+def gen_partition(n: int, ring: CoefficientRing = EXACT) -> TruncatedSeries:
+    """Coefficients p(0)..p(n)."""
+    return expand_product(PARTITION_SPEC, n, ring)
+
+
+def gen_l_regular(ell: int, n: int, ring: CoefficientRing = EXACT) -> TruncatedSeries:
+    """Coefficients b_ell(0)..b_ell(n)."""
+    return expand_product(l_regular_spec(ell), n, ring)
+
+
+def gen_broken_diamond(k: int, n: int, ring: CoefficientRing = EXACT) -> TruncatedSeries:
+    """Coefficients Delta_k(0)..Delta_k(n)."""
+    return expand_product(broken_diamond_spec(k), n, ring)
+
+
+def gen_bracelet(k: int, n: int, ring: CoefficientRing = EXACT) -> TruncatedSeries:
+    """Coefficients B_k(0)..B_k(n) of the k dots bracelet family."""
+    return expand_product(bracelet_definition_spec(k), n, ring)
 
 
 def bracelet_intermediate_spec(k: int) -> ProductSpec:

@@ -2,15 +2,20 @@
 
 A :class:`PochhammerFactor` denotes (sign q^a; q^b)_inf ^ e, i.e. the
 infinite product prod_{j>=0} (1 + sign * q^{a+jb}) raised to an integer
-power; a :class:`ProductSpec` is a finite list of such factors.  Expansion
-is definitional: one binomial 1 + sign*q^m at a time, which keeps this code
-an independent cross-check for the sparse theta-based builders in
-:mod:`qbracelet.theta`.
+power; a :class:`ProductSpec` is a finite list of such factors, and
+:meth:`ProductSpec.normal_form` is its spelling-independent identity.
+Expansion here is definitional: one binomial 1 + sign*q^m at a time, which
+keeps this code an independent cross-check for the eta-quotient expander in
+:mod:`qbracelet.generators`.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from functools import reduce
+from operator import mul
+from typing import NamedTuple
 
 from .rings import EXACT, CoefficientRing
 from .series import TruncatedSeries
@@ -47,6 +52,14 @@ class PochhammerFactor:
         return s
 
 
+class NormalForm(NamedTuple):
+    """The sorted pairs (t, e_t) of prod_t (q^t;q^t)^{e_t}, and the other
+    factors, one per base, sorted; no exponent is zero."""
+
+    eta: tuple[tuple[int, int], ...]
+    general: ProductSpec
+
+
 @dataclass(frozen=True)
 class ProductSpec:
     """A formal product of Pochhammer factors; the empty product is 1."""
@@ -73,6 +86,27 @@ class ProductSpec:
             sign, offset, step, exponent = (int(v) for v in part.split(","))
             factors.append(PochhammerFactor(sign, offset, step, exponent))
         return cls(tuple(factors))
+
+    def normal_form(self) -> NormalForm:
+        """Rewrite (-q^t;q^t)^e as (q^{2t};q^{2t})^e (q^t;q^t)^{-e}, merge
+        equal bases, drop zero exponents and sort.  Specs that differ only
+        in factor order or in such rewrites get equal normal forms."""
+        eta: Counter[int] = Counter()
+        general: Counter[tuple[int, int, int]] = Counter()
+        for f in self.factors:
+            if f.offset != f.step:
+                general[f.sign, f.offset, f.step] += f.exponent
+            elif f.sign == 1:
+                eta[2 * f.step] += f.exponent
+                eta[f.step] -= f.exponent
+            else:
+                eta[f.step] += f.exponent
+        return NormalForm(
+            tuple(sorted((t, e) for t, e in eta.items() if e)),
+            ProductSpec(
+                tuple(PochhammerFactor(*b, e) for b, e in sorted(general.items()) if e)
+            ),
+        )
 
     def __str__(self) -> str:
         if not self.factors:
@@ -113,12 +147,7 @@ def pochhammer_series(
     factor: PochhammerFactor, n: int, ring: CoefficientRing = EXACT
 ) -> TruncatedSeries:
     """Expansion of a single factor, negative exponents via series inversion."""
-    if n < 0:
-        raise ValueError("order must be >= 0")
-    if factor.exponent == 0:
-        return TruncatedSeries.one(ring, n)
-    base = pochhammer_base(factor.sign, factor.offset, factor.step, n, ring)
-    return base.pow(factor.exponent)
+    return product_series(ProductSpec((factor,)), n, ring)
 
 
 def product_series(
@@ -127,21 +156,17 @@ def product_series(
     """Expansion of a full product spec to order n.
 
     Positive-exponent factors are multiplied into a numerator, negative ones
-    into a denominator which is inverted once at the end.
+    into a denominator which is inverted once at the end; each side starts
+    from its first factor, so nothing is multiplied by one.
     """
     if n < 0:
         raise ValueError("order must be >= 0")
-    num = TruncatedSeries.one(ring, n)
-    den: TruncatedSeries | None = None
+    num: list[TruncatedSeries] = []
+    den: list[TruncatedSeries] = []
     for f in spec.factors:
-        if f.exponent == 0:
-            continue
-        base = pochhammer_base(f.sign, f.offset, f.step, n, ring)
-        part = base.pow(abs(f.exponent))
-        if f.exponent > 0:
-            num = num * part
-        else:
-            den = part if den is None else den * part
-    if den is not None:
-        num = num * den.invert()
-    return num
+        if f.exponent:
+            base = pochhammer_base(f.sign, f.offset, f.step, n, ring)
+            (num if f.exponent > 0 else den).append(base.pow(abs(f.exponent)))
+    if den:
+        num.append(reduce(mul, den).invert())
+    return reduce(mul, num) if num else TruncatedSeries.one(ring, n)

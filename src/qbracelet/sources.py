@@ -3,8 +3,11 @@
 A source is a value object naming one expandable series; `expand_source`
 turns it into a :class:`TruncatedSeries` over a chosen ring and order.
 String keys (``partition``, ``lregular:5``, ``bracelet:5``, ``euler:2``,
-``product:<factors>``) round-trip through :func:`parse_source` and double
-as cache keys in the verification engine.
+``product:<factors>``) round-trip through :func:`parse_source` and are what
+users and reports see.  Every source but ``quintic_euler`` carries its
+defining product, and :meth:`SeriesSource.identity` (the product's normal
+form) is what the verification engine caches on, so ``lregular:5`` and
+``product:-1,5,5,1;-1,1,1,-1`` share one build.
 """
 
 from __future__ import annotations
@@ -12,34 +15,33 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .generators import (
+    PARTITION_SPEC,
+    bracelet_definition_spec,
+    broken_diamond_spec,
     euler_quintic_rhs,
-    gen_bracelet,
-    gen_broken_diamond,
-    gen_l_regular,
-    gen_partition,
+    expand_product,
+    l_regular_spec,
 )
-from .products import ProductSpec, product_series
+from .products import NormalForm, ProductSpec
 from .rings import CoefficientRing
 from .series import TruncatedSeries
-from .theta import euler_series
 
-_PARAM_KINDS = {"lregular", "brokendiamond", "bracelet", "euler"}
-_KINDS = _PARAM_KINDS | {"partition", "product", "quintic_euler"}
+_FAMILY_SYMBOLS = {
+    "partition": "p",
+    "lregular": "b_{}",
+    "brokendiamond": "Delta_{}",
+    "bracelet": "B_{}",
+}
 
 
 @dataclass(frozen=True)
 class SeriesSource:
+    """A named series; ``spec`` is its defining product, None only for
+    ``quintic_euler``, which is a sum of products."""
+
     kind: str
     param: int | None = None
     spec: ProductSpec | None = None
-
-    def __post_init__(self) -> None:
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown series source kind {self.kind!r}")
-        if self.kind in _PARAM_KINDS and self.param is None:
-            raise ValueError(f"source kind {self.kind!r} needs a parameter")
-        if self.kind == "product" and self.spec is None:
-            raise ValueError("product source needs a ProductSpec")
 
     def key(self) -> str:
         if self.kind == "product":
@@ -50,43 +52,39 @@ class SeriesSource:
 
     def symbol(self) -> str:
         """Short function symbol used when printing congruences."""
-        if self.kind == "partition":
-            return "p"
-        if self.kind == "lregular":
-            return f"b_{self.param}"
-        if self.kind == "brokendiamond":
-            return f"Delta_{self.param}"
-        if self.kind == "bracelet":
-            return f"B_{self.param}"
-        if self.kind == "euler":
-            t = self.param
-            return "(q;q)oo" if t == 1 else f"(q^{t};q^{t})oo"
-        if self.kind == "product":
-            return str(self.spec)
-        return "(q^25;q^25)oo*(a(q)-q-q^2*b(q))"
+        if self.kind in _FAMILY_SYMBOLS:
+            return _FAMILY_SYMBOLS[self.kind].format(self.param)
+        if self.spec is None:
+            return "(q^25;q^25)oo*(a(q)-q-q^2*b(q))"
+        return str(self.spec)
+
+    def identity(self) -> NormalForm | str:
+        """What the series is rather than how it is spelled: sources with
+        equal identities expand to equal series."""
+        return self.kind if self.spec is None else self.spec.normal_form()
 
     def __str__(self) -> str:
         return self.key()
 
 
 def partition_source() -> SeriesSource:
-    return SeriesSource("partition")
+    return SeriesSource("partition", spec=PARTITION_SPEC)
 
 
 def lregular_source(ell: int) -> SeriesSource:
-    return SeriesSource("lregular", ell)
+    return SeriesSource("lregular", ell, l_regular_spec(ell))
 
 
 def broken_diamond_source(k: int) -> SeriesSource:
-    return SeriesSource("brokendiamond", k)
+    return SeriesSource("brokendiamond", k, broken_diamond_spec(k))
 
 
 def bracelet_source(k: int) -> SeriesSource:
-    return SeriesSource("bracelet", k)
+    return SeriesSource("bracelet", k, bracelet_definition_spec(k))
 
 
 def euler_source(t: int = 1) -> SeriesSource:
-    return SeriesSource("euler", t)
+    return SeriesSource("euler", t, ProductSpec.of((-1, t, t, 1)))
 
 
 def product_source(spec: ProductSpec) -> SeriesSource:
@@ -97,38 +95,38 @@ def quintic_euler_source() -> SeriesSource:
     return SeriesSource("quintic_euler")
 
 
+_PARAMETRIZED = {
+    "lregular": lregular_source,
+    "brokendiamond": broken_diamond_source,
+    "bracelet": bracelet_source,
+    "euler": euler_source,
+}
+_PLAIN = {"partition": partition_source, "quintic_euler": quintic_euler_source}
+
+
 def parse_source(text: str) -> SeriesSource:
     """Parse a source key like ``bracelet:5`` or ``product:-1,2,2,1``."""
-    text = text.strip()
-    kind, _, rest = text.partition(":")
+    kind, _, rest = text.strip().partition(":")
     kind = kind.lower()
     if kind == "product":
         return product_source(ProductSpec.parse(rest))
-    if kind in _PARAM_KINDS:
+    if kind in _PARAMETRIZED:
         if not rest and kind == "euler":
             return euler_source(1)
         if not rest:
             raise ValueError(f"source {kind!r} needs a parameter, e.g. {kind}:5")
-        return SeriesSource(kind, int(rest))
+        return _PARAMETRIZED[kind](int(rest))
+    if kind not in _PLAIN:
+        raise ValueError(f"unknown series source kind {kind!r}")
     if rest:
         raise ValueError(f"source {kind!r} takes no parameter")
-    return SeriesSource(kind)
+    return _PLAIN[kind]()
 
 
 def expand_source(
     source: SeriesSource, ring: CoefficientRing, order: int
 ) -> TruncatedSeries:
     """Expand a source to the requested order over the requested ring."""
-    if source.kind == "partition":
-        return gen_partition(order, ring)
-    if source.kind == "lregular":
-        return gen_l_regular(source.param, order, ring)
-    if source.kind == "brokendiamond":
-        return gen_broken_diamond(source.param, order, ring)
-    if source.kind == "bracelet":
-        return gen_bracelet(source.param, order, ring)
-    if source.kind == "euler":
-        return euler_series(order, source.param, ring)
-    if source.kind == "product":
-        return product_series(source.spec, order, ring)
-    return euler_quintic_rhs(order, ring)
+    if source.kind == "quintic_euler":
+        return euler_quintic_rhs(order, ring)
+    return expand_product(source.spec, order, ring)

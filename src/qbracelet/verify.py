@@ -2,19 +2,16 @@
 and checks every claim against its stated progression and modulus.
 
 Reports never abort the run; per-claim problems (order cap exceeded,
-non-invertible constant terms, ...) become ``error`` reports.  Output order
-is by claim id regardless of evaluation order, and with ``jobs > 1`` claims
-are evaluated concurrently after the shared series cache has been populated
-sequentially.
+non-invertible constant terms, ...) become ``error`` reports.  Every
+series is built once per (normal form, ring) pair before any claim is
+evaluated, and reports come out ordered by claim id.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .claims import CongruenceClaim, SelectionIssue, claim_sort_key, required_truncation
@@ -63,7 +60,6 @@ class RunConfig:
     n_max: int | None = None
     order_cap_exact: int = _default_cap(DEFAULT_ORDER_CAP_EXACT)
     order_cap_mod: int = _default_cap(DEFAULT_ORDER_CAP_MOD)
-    jobs: int = 1
 
     def __post_init__(self) -> None:
         if self.n_max is not None and self.n_max < 0:
@@ -111,29 +107,33 @@ def reports_to_json(reports: list[VerificationReport]) -> str:
     )
 
 
-class SeriesCache:
-    """(source, ring) -> expanded series, grown monotonically in order.
+def _series_key(source: SeriesSource, ring: CoefficientRing) -> tuple:
+    return source.identity(), ring.key()
 
-    The single lock makes concurrent lookups safe; expansions are serialized,
-    which is what the engine wants anyway (it prebuilds before fanning out).
+
+class SeriesCache:
+    """(normal form, ring) -> expanded series, grown monotonically in order.
+
+    Sources that spell the same product (a permuted ``product:`` spec,
+    ``lregular:5`` and its defining ``product:``) share one entry; each
+    build is logged as (source key, ring key, order) of the request that
+    made it.
     """
 
     def __init__(self) -> None:
-        self._store: dict[tuple[str, str], TruncatedSeries] = {}
-        self._lock = threading.Lock()
+        self._store: dict[tuple, TruncatedSeries] = {}
         self.builds: list[tuple[str, str, int]] = []
 
     def get(
         self, source: SeriesSource, ring: CoefficientRing, order: int
     ) -> TruncatedSeries:
-        key = (source.key(), ring.key())
-        with self._lock:
-            cached = self._store.get(key)
-            if cached is None or cached.order < order:
-                cached = expand_source(source, ring, order)
-                self._store[key] = cached
-                self.builds.append((key[0], key[1], order))
-            return cached
+        key = _series_key(source, ring)
+        cached = self._store.get(key)
+        if cached is None or cached.order < order:
+            cached = expand_source(source, ring, order)
+            self._store[key] = cached
+            self.builds.append((source.key(), ring.key(), order))
+        return cached
 
 
 def _claim_ring(claim: CongruenceClaim) -> CoefficientRing:
@@ -250,8 +250,8 @@ def verify(
     cache = cache if cache is not None else SeriesCache()
     claims = sorted(claims, key=claim_sort_key)
 
-    # Plan: per (source, ring), the largest order any runnable claim needs.
-    plan: dict[tuple[str, str], tuple[SeriesSource, CoefficientRing, int]] = {}
+    # Plan: per (normal form, ring), the largest order any runnable claim needs.
+    plan: dict[tuple, tuple[SeriesSource, CoefficientRing, int]] = {}
     capped: dict[str, str] = {}
     for claim in claims:
         needs = _claim_needs(claim, config.n_max_for(claim))
@@ -268,25 +268,27 @@ def verify(
             )
             continue
         for source, ring, order in needs:
-            key = (source.key(), ring.key())
+            key = _series_key(source, ring)
             prev = plan.get(key)
             if prev is None or prev[2] < order:
                 plan[key] = (source, ring, order)
 
-    # Populate the shared cache sequentially (single writer), then evaluate.
-    build_errors: dict[tuple[str, str], str] = {}
-    for key, (source, ring, order) in sorted(plan.items()):
+    # Build every series once, in source-key order, then evaluate.
+    build_errors: dict[tuple, str] = {}
+    for source, ring, order in sorted(
+        plan.values(), key=lambda need: (need[0].key(), need[1].key())
+    ):
         try:
             cache.get(source, ring, order)
         except Exception as exc:  # kept in the report, never aborts the run
-            build_errors[key] = f"{type(exc).__name__}: {exc}"
+            build_errors[_series_key(source, ring)] = f"{type(exc).__name__}: {exc}"
 
     def run_one(claim: CongruenceClaim) -> VerificationReport:
         n_max = config.n_max_for(claim)
         if claim.claim_id in capped:
             return _error_report(claim, n_max, capped[claim.claim_id])
         for source, ring, _ in _claim_needs(claim, n_max):
-            err = build_errors.get((source.key(), ring.key()))
+            err = build_errors.get(_series_key(source, ring))
             if err:
                 return _error_report(claim, n_max, err)
         try:
@@ -294,9 +296,4 @@ def verify(
         except Exception as exc:
             return _error_report(claim, n_max, f"{type(exc).__name__}: {exc}")
 
-    if config.jobs > 1 and len(claims) > 1:
-        with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-            reports = list(pool.map(run_one, claims))
-    else:
-        reports = [run_one(claim) for claim in claims]
-    return reports
+    return [run_one(claim) for claim in claims]

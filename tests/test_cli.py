@@ -97,6 +97,19 @@ def test_dissect_matches_coeffs_lemma(runner):
     assert lhs.output == rhs.output
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--", "-2", "1"], "STEP must be >= 1"),
+        (["-N", "0", "--", "2", "-1"], "RESIDUE must satisfy 0 <= RESIDUE < STEP"),
+    ],
+)
+def test_dissect_rejects_bad_progression(runner, args, message):
+    result = run(runner, "dissect", "partition", *args)
+    assert result.exit_code == 1
+    assert result.output.splitlines() == [f"Error: {message}"]
+
+
 def test_verify_pass_and_exit_zero(runner):
     result = run(runner, "verify", "--claims", "C6", "--nmax", "100")
     assert result.exit_code == 0

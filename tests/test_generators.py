@@ -24,6 +24,7 @@ from qbracelet.generators import (
     bracelet_definition_spec,
     bracelet_intermediate_spec,
     eta_quotient,
+    expand_product,
 )
 from qbracelet.oracles import count_l_regular, count_partitions, is_prime
 from qbracelet.products import ProductSpec, product_series
@@ -165,6 +166,14 @@ def test_eta_quotient_edge_cases():
     assert eta_quotient({4: 1}, 30) == euler_series(30, 4)
     with pytest.raises(ValueError):
         eta_quotient({0: 1}, 10)
+
+
+def test_expand_product_multiplies_its_parts_once(conv_mod_calls):
+    # eta part (q^2;q^2), general part (q;q^3): no powers, no inversion
+    spec = ProductSpec.of((-1, 1, 3, 1), (-1, 2, 2, 1))
+    got = expand_product(spec, 100, Mod(5))
+    assert len(conv_mod_calls) == 1
+    assert got == product_series(spec, 100, EXACT).reduce_mod(5)
 
 
 # rings of the property test, each with the prime whose multiples it draws

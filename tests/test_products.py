@@ -1,8 +1,13 @@
-"""Pochhammer factor expansion and product assembly."""
+"""Pochhammer factor expansion, product assembly and the normal form."""
+
+from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qbracelet import EXACT, Mod, TruncatedSeries
+from qbracelet.generators import bracelet_definition_spec
 from qbracelet.oracles import count_partitions
 from qbracelet.products import (
     PochhammerFactor,
@@ -11,6 +16,7 @@ from qbracelet.products import (
     pochhammer_series,
     product_series,
 )
+from qbracelet.sources import expand_source, parse_source
 
 # pentagonal exponents 0,1,2,5,7,12 with signs +,-,-,+,+,-
 PENTAGONAL_12 = [1, -1, -1, 0, 0, 1, 0, 1, 0, 0, 0, 0, -1]
@@ -96,3 +102,62 @@ def test_spec_key_roundtrip():
 def test_spec_str():
     spec = ProductSpec.of((-1, 2, 2, 1), (-1, 1, 1, -5))
     assert str(spec) == "(q^2;q^2)oo/(q;q)oo^5"
+
+
+def test_product_series_never_multiplies_by_one(conv_mod_calls):
+    spec = ProductSpec.parse("-1,2,2,1")
+    expected = pochhammer_base(-1, 2, 2, 100, Mod(5))
+    assert product_series(spec, 100, Mod(5)) == expected
+    assert expand_source(parse_source("product:-1,2,2,1"), Mod(5), 100) == expected
+    assert conv_mod_calls == []
+
+
+def test_normal_form_rewrites_plus_eta_factors():
+    # (-q^t;q^t) = (q^{2t};q^{2t})/(q^t;q^t); general factors stay, merged
+    spec = ProductSpec.of((1, 3, 3, 2), (-1, 1, 4, 1), (-1, 6, 6, -2), (-1, 1, 4, 2))
+    eta, general = spec.normal_form()
+    assert eta == ((3, -2),)
+    assert general == ProductSpec.of((-1, 1, 4, 3))
+    assert ProductSpec.of((1, 2, 2, 1), (-1, 4, 4, -1)).normal_form() == (
+        ((2, -1),),
+        ProductSpec(),
+    )
+
+
+def test_bracelet_normal_form_is_its_eta_quotient():
+    for k in (3, 5, 125):
+        eta, general = bracelet_definition_spec(k).normal_form()
+        assert eta == ((1, -k), (2, 1), (k, 1), (2 * k, -1))
+        assert general == ProductSpec()
+
+
+# rings of the property test; None is the exact integers
+SPEC_RINGS = [2, 3, 5, 25, 12, None]
+
+
+@st.composite
+def factors(draw):
+    step = draw(st.integers(1, 12))
+    offset = step if draw(st.booleans()) else draw(st.integers(1, step))
+    return draw(st.sampled_from((-1, 1))), offset, step, draw(st.integers(-3, 3))
+
+
+@st.composite
+def product_specs(draw):
+    fs = draw(st.lists(factors(), max_size=3))
+    if fs:
+        # repeat bases, half the time with the exponent that cancels
+        for sign, offset, step, e in draw(st.lists(st.sampled_from(fs), max_size=2)):
+            fs.append((sign, offset, step, -e if draw(st.booleans()) else e))
+    return ProductSpec.of(*draw(st.permutations(fs)))
+
+
+@settings(max_examples=120, deadline=None)
+@given(product_specs(), st.sampled_from(SPEC_RINGS), st.integers(0, 300))
+def test_product_sources_match_definition(spec, modulus, n):
+    exact = product_series(spec, n, EXACT)
+    expected = exact if modulus is None else exact.reduce_mod(modulus)
+    ring = EXACT if modulus is None else Mod(modulus)
+    assert expand_source(parse_source("product:" + spec.key()), ring, n) == expected
+    form = spec.normal_form()
+    assert all(ProductSpec(p).normal_form() == form for p in permutations(spec.factors))

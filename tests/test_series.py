@@ -11,7 +11,6 @@ from qbracelet import (
     RingMismatchError,
     TruncatedSeries,
 )
-from qbracelet import _kernel
 from qbracelet.oracles import count_partitions
 from qbracelet.products import PochhammerFactor, pochhammer_series
 
@@ -78,18 +77,10 @@ def test_ring_mismatch_raises():
 
 
 @pytest.mark.parametrize("e, convolutions", [(0, 0), (1, 0), (2, 1), (5, 3), (8, 3)])
-def test_pow_convolution_count(monkeypatch, e, convolutions):
-    calls = []
-    real = _kernel.conv_mod
-
-    def counting(*args):
-        calls.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(_kernel, "conv_mod", counting)
+def test_pow_convolution_count(conv_mod_calls, e, convolutions):
     x = series(Mod(7), 1, 3, 5, 2)
     power = x.pow(e)
-    assert len(calls) == convolutions
+    assert len(conv_mod_calls) == convolutions
     expected = TruncatedSeries.one(Mod(7), 3)
     for _ in range(e):
         expected = expected * x

@@ -1,11 +1,15 @@
 """Verification engine behaviour: statuses, caching, determinism."""
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
-from qbracelet.claims import CongruenceClaim, resolve_selection
-from qbracelet.sources import bracelet_source, euler_source
+from qbracelet.claims import CongruenceClaim, default_catalog, resolve_selection
+from qbracelet.generators import bracelet_definition_spec
+from qbracelet.rings import Mod
+from qbracelet.sources import bracelet_source, euler_source, parse_source
 from qbracelet.verify import (
     RunConfig,
     SeriesCache,
@@ -167,15 +171,6 @@ def test_reports_sorted_by_claim_id_and_deterministic():
     assert strip(r1) == strip(r2)
 
 
-def test_parallel_matches_sequential():
-    claims, _ = resolve_selection(["C6", "C7", "C8", "C20", "C1"])
-    seq = verify(claims, RunConfig(jobs=1))
-    par = verify(claims, RunConfig(jobs=4))
-    assert [(r.claim_id, r.status) for r in seq] == [
-        (r.claim_id, r.status) for r in par
-    ]
-
-
 def test_json_schema_keys():
     (report,) = verify([make_claim()])
     obj = report.to_json_obj()
@@ -218,3 +213,44 @@ def test_series_congruence_failure_reports_residual():
     (report,) = verify([bad])
     assert report.status == "fail"
     assert report.counterexample["value"] != 0
+
+
+GOLDEN_VERIFY_ALL = (
+    Path(__file__).resolve().parents[1] / "perfbench" / "golden" / "verify_all.json"
+)
+
+
+def test_verify_all_matches_the_golden_reports():
+    # the fixed point: every report of `verify --all` but its timing
+    text = reports_to_json(verify(default_catalog()))
+    stripped = re.sub(r'"elapsed_ms": [^,\n]+', '"elapsed_ms": null', text)
+    assert (stripped + "\n").encode() == GOLDEN_VERIFY_ALL.read_bytes()
+
+
+ALIAS_PAIRS = [
+    ("product:-1,2,2,1;1,1,3,-2;1,4,4,1", "product:1,4,4,1;-1,2,2,1;1,1,3,-2"),
+    ("product:-1,5,5,1;-1,1,1,-1", "lregular:5"),
+    ("product:" + bracelet_definition_spec(7).key(), "bracelet:7"),
+]
+
+
+@pytest.mark.parametrize("first, second", ALIAS_PAIRS)
+def test_cache_builds_aliases_once(first, second):
+    cache = SeriesCache()
+    built = cache.get(parse_source(first), Mod(5), 200)
+    assert cache.get(parse_source(second), Mod(5), 150) is built
+    assert cache.get(parse_source(second), Mod(5), 200) is built
+    assert cache.builds == [(first, "mod5", 200)]
+
+
+def test_build_plan_shares_aliased_sources():
+    definition = parse_source("product:" + bracelet_definition_spec(5).key())
+    claims = [
+        make_claim(),
+        make_claim(claim_id="X2", source=definition, default_n_max=60),
+    ]
+    cache = SeriesCache()
+    reports = verify(claims, cache=cache)
+    assert [r.status for r in reports] == ["pass", "pass"]
+    assert len(cache.builds) == 1
+    assert cache.builds[0][1:] == ("mod2", 606)
