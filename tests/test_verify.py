@@ -57,8 +57,6 @@ def test_counterexample_is_recheckable():
     (report,) = verify([claim])
     n0 = report.counterexample["n"]
     cache = SeriesCache()
-    from qbracelet.rings import Mod
-
     series = cache.get(bracelet_source(5), Mod(2), 10 * n0 + 1)
     assert series.coeffs[10 * n0 + 1] == report.counterexample["value"]
 
@@ -132,8 +130,6 @@ def test_series_cache_shared_across_claims():
 
 
 def test_full_catalog_expands_each_source_ring_once():
-    from qbracelet.claims import default_catalog
-
     cache = SeriesCache()
     reports = verify(default_catalog(), RunConfig(), cache=cache)
     assert all(r.status == "pass" for r in reports)
@@ -143,8 +139,6 @@ def test_full_catalog_expands_each_source_ring_once():
 
 def test_cache_grows_monotonically():
     cache = SeriesCache()
-    from qbracelet.rings import Mod
-
     small = cache.get(euler_source(1), Mod(2), 10)
     big = cache.get(euler_source(1), Mod(2), 20)
     again = cache.get(euler_source(1), Mod(2), 5)
