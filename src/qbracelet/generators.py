@@ -12,33 +12,44 @@ turns every (-q^t;q^t) into (q^{2t};q^{2t})/(q^t;q^t): B_k becomes the
 eta-quotient prod_t (q^t;q^t)^{e_t} with exponent map
 {1: -k, 2: 1, k: 1, 2k: -1}.  The eta map goes to :func:`eta_quotient`,
 any other factors to the binomial chains of :func:`product_series`.
+:func:`eta_quotient` has two routes, chosen by the ring.
 
-Frobenius.  Over a prime modulus p, (q^t;q^t)^p == (q^{tp};q^{tp}) (mod p),
-so each exponent is split into base-p digits, (q^t;q^t)^{d p^i} becoming
-(q^{t p^i};q^{t p^i})^d, before equal steps are merged again and zero
-exponents dropped.  This is where the paper's proofs start, and the
-cancellation it exposes is the saving: B_125 mod 5 is {2: 1, 250: -1}.
-The congruence holds only mod p, so prime-power, composite and exact rings
-keep their exponents as they are.
+Over Z: pentagonal recurrences, no convolution.  Each (q^t;q^t) has about
+2 sqrt(2n/3t) nonzero terms up to q^n.  The factor with the largest |e_t|
+(then the smallest t) is raised to its power by Miller's recurrence at
+order n // t and inflated by t; every other factor is applied |e_t| times
+in place, multiplying by shift-and-add or dividing by the bottom-up
+recurrence f_i = c_i - sum_j s_j f_{i-j}.  That is O(n sqrt n)
+small-by-bignum operations, where the convolutions and Newton inversion
+of the modular route would multiply bignums of hundreds of bits.
 
-Inflation.  The numerator and the denominator are each a product over
-steps sharing a gcd g; such a product is a series in q^g, so it is built at
-order n // g over the steps t/g and inflated by g, which is exact because
-an inflated series is zero off the multiples of g.  The denominator is
-inverted once, at its reduced order, and the two sides are multiplied once.
+Over Z/M: Frobenius, inflation and Newton.  The power recurrence divides
+by m, which is not invertible mod p, and at the modular orders one
+Kronecker product beats O(n sqrt n) anyway.  Over a prime modulus p,
+(q^t;q^t)^p == (q^{tp};q^{tp}) (mod p), so each exponent is split into
+base-p digits, (q^t;q^t)^{d p^i} becoming (q^{t p^i};q^{t p^i})^d, before
+equal steps are merged again and zero exponents dropped.  This is where
+the paper's proofs start, and the cancellation it exposes is the saving:
+B_125 mod 5 is {2: 1, 250: -1}.  The congruence holds only mod p, so
+prime-power and composite rings keep their exponents as they are.  The
+numerator and the denominator are each a product over steps sharing a gcd
+g; such a product is a series in q^g, so it is built at order n // g over
+the steps t/g and inflated by g, which is exact because an inflated series
+is zero off the multiples of g.  The denominator is inverted once, at its
+reduced order, and the two sides are multiplied once.
 """
 
 from __future__ import annotations
 
 from functools import reduce
 from math import gcd
-from operator import mul
+from operator import add, mul, sub
 
 from .oracles import is_prime
 from .products import ProductSpec, product_series
 from .rings import EXACT, CoefficientRing
 from .series import TruncatedSeries
-from .theta import euler_series
+from .theta import euler_series, pentagonal_terms
 
 
 def _frobenius_split(exponents: dict[int, int], p: int) -> dict[int, int]:
@@ -70,6 +81,69 @@ def _euler_product(
     return product.inflate(g).resized(n)
 
 
+def _power(terms: list[tuple[int, int]], alpha: int, n: int) -> list[int]:
+    """(f / f_0)^alpha to order n, f the sum of the sorted terms
+    (exponent, coefficient) with (0, f_0) first, by Miller's recurrence
+    m f_0 g_m = sum_{j>=1} ((alpha+1) j - m) f_j g_{m-j} (Knuth, TAOCP
+    vol. 2, 4.7).  Every division is checked: a remainder means f was not
+    the series the caller meant, and raises ArithmeticError."""
+    (_, f0), *rest = terms
+    top = rest[-1][0] if rest else 0
+    g = [0] * top + [1] + [0] * n  # g_m is g[top + m]; the pad reads as zero
+    for m in range(1, n + 1):
+        i = top + m
+        total = sum(((alpha + 1) * j - m) * c * g[i - j] for j, c in rest)
+        g[i], r = divmod(total, m * f0)
+        if r:
+            raise ArithmeticError(
+                f"power recurrence: coefficient {m} of (f/f_0)^{alpha} is not integral"
+            )
+    return g[top:]
+
+
+def _multiply(cs: list[int], terms: list[tuple[int, int]]) -> None:
+    """cs *= 1 + sum_{j>=1} s_j q^j in place: add each shifted copy of
+    the old cs, truncated at the order of cs."""
+    old = cs[:]
+    for j, sign in terms[1:]:
+        cs[j:] = map(add if sign > 0 else sub, cs[j:], old)
+
+
+def _divide(cs: list[int], terms: list[tuple[int, int]]) -> None:
+    """cs /= 1 + sum_{j>=1} s_j q^j in place, bottom-up:
+    f_i = c_i - sum_j s_j f_{i-j}."""
+    plus = [j for j, sign in terms[1:] if sign > 0]
+    minus = [j for j, sign in terms[1:] if sign < 0]
+    top = terms[-1][0]
+    f = [0] * top + cs  # c_i is f[top + i]; the pad reads as zero
+    for i in range(top + 1, len(f)):
+        f[i] += sum(f[i - j] for j in minus) - sum(f[i - j] for j in plus)
+    cs[:] = f[top:]
+
+
+def _pentagonal_quotient(live: dict[int, int], n: int) -> TruncatedSeries:
+    """prod_t (q^t;q^t)^{e_t} over Z to order n, for nonzero e_t and
+    1 <= t <= n, with no convolution: the lead factor (largest |e_t|,
+    then smallest t) by the power recurrence at order n // t, inflated by
+    t; every other factor applied |e_t| times in place."""
+    if not live:
+        return TruncatedSeries.one(EXACT, n)
+    lead = min(live, key=lambda t: (-abs(live[t]), t))
+    m = n // lead
+    if live[lead] == 1:
+        g = euler_series(m).coeffs
+    else:
+        g = _power(pentagonal_terms(m), live[lead], m)
+    cs = [0] * (n + 1)
+    cs[::lead] = g
+    for t, e in sorted(live.items()):
+        if t != lead:
+            terms = pentagonal_terms(n, t)
+            for _ in range(abs(e)):
+                (_multiply if e > 0 else _divide)(cs, terms)
+    return TruncatedSeries(EXACT, cs, normalize=False)
+
+
 def eta_quotient(
     exponents: dict[int, int], n: int, ring: CoefficientRing = EXACT
 ) -> TruncatedSeries:
@@ -83,6 +157,8 @@ def eta_quotient(
     if p is not None and p <= top and is_prime(p):
         exponents = _frobenius_split(exponents, p)
     live = {t: e for t, e in exponents.items() if e and t <= n}
+    if ring.is_exact:
+        return _pentagonal_quotient(live, n)
     num = _euler_product({t: e for t, e in live.items() if e > 0}, n, ring, False)
     den = _euler_product({t: -e for t, e in live.items() if e < 0}, n, ring, True)
     if num is None:

@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
-from operator import mul
+from operator import add, mul, sub
 from typing import NamedTuple
 
 from .rings import EXACT, CoefficientRing
@@ -83,7 +83,12 @@ class ProductSpec:
             return cls()
         factors = []
         for part in text.split(";"):
-            sign, offset, step, exponent = (int(v) for v in part.split(","))
+            try:
+                sign, offset, step, exponent = map(int, part.split(","))
+            except ValueError:
+                raise ValueError(
+                    f"product factor {part!r} must be SIGN,OFFSET,STEP,EXP"
+                ) from None
             factors.append(PochhammerFactor(sign, offset, step, exponent))
         return cls(tuple(factors))
 
@@ -127,19 +132,14 @@ def pochhammer_base(
     sign: int, offset: int, step: int, n: int, ring: CoefficientRing = EXACT
 ) -> TruncatedSeries:
     """Expand (sign q^offset; q^step)_inf to order n, one binomial at a time."""
-    norm = ring.normalize
+    op = add if sign > 0 else sub
+    mod = ring.modulus
     cs = [0] * (n + 1)
     cs[0] = 1
-    m = offset
-    while m <= n:
-        # in place multiply by (1 + sign q^m), highest index first
-        if sign > 0:
-            for i in range(n, m - 1, -1):
-                cs[i] = norm(cs[i] + cs[i - m])
-        else:
-            for i in range(n, m - 1, -1):
-                cs[i] = norm(cs[i] - cs[i - m])
-        m += step
+    for m in range(offset, n + 1, step):
+        # multiply by (1 + sign q^m); both slices are read before the write
+        shifted = map(op, cs[m:], cs[: n + 1 - m])
+        cs[m:] = shifted if mod is None else [c % mod for c in shifted]
     return TruncatedSeries(ring, cs, normalize=False)
 
 

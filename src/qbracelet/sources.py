@@ -84,6 +84,8 @@ def bracelet_source(k: int) -> SeriesSource:
 
 
 def euler_source(t: int = 1) -> SeriesSource:
+    if t < 1:
+        raise ValueError("euler step must be >= 1")
     return SeriesSource("euler", t, ProductSpec.of((-1, t, t, 1)))
 
 
@@ -115,7 +117,13 @@ def parse_source(text: str) -> SeriesSource:
             return euler_source(1)
         if not rest:
             raise ValueError(f"source {kind!r} needs a parameter, e.g. {kind}:5")
-        return _PARAMETRIZED[kind](int(rest))
+        try:
+            param = int(rest)
+        except ValueError:
+            raise ValueError(
+                f"source {kind!r} parameter must be an integer, got {rest!r}"
+            ) from None
+        return _PARAMETRIZED[kind](param)
     if kind not in _PLAIN:
         raise ValueError(f"unknown series source kind {kind!r}")
     if rest:

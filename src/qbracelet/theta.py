@@ -60,28 +60,36 @@ def theta_f(
     return TruncatedSeries(ring, cs, normalize=False)
 
 
-def euler_series(
-    n: int, scale: int = 1, ring: CoefficientRing = EXACT
-) -> TruncatedSeries:
-    """(q^t; q^t)_inf via the pentagonal expansion
-    sum_k (-1)^k q^{t k(3k-1)/2}; sparse, so this is the fast builder the
-    generating-function constructors lean on."""
+def pentagonal_terms(n: int, scale: int = 1) -> list[tuple[int, int]]:
+    """The nonzero terms (exponent, sign) of (q^t; q^t)_inf =
+    sum_k (-1)^k q^{t k(3k-1)/2} up to q^n, t = scale, by increasing
+    exponent: (0, 1) first, then about 2 sqrt(2n / 3t) more."""
     if scale < 1:
         raise ValueError("scale must be >= 1")
-    norm = ring.normalize
-    cs = [0] * (n + 1)
-    cs[0] = 1
+    terms = [(0, 1)]
     k = 1
     while True:
         g1 = scale * k * (3 * k - 1) // 2
         if g1 > n:
             break
         sign = -1 if k % 2 else 1
-        cs[g1] = norm(sign)
+        terms.append((g1, sign))
         g2 = scale * k * (3 * k + 1) // 2
         if g2 <= n:
-            cs[g2] = norm(sign)
+            terms.append((g2, sign))
         k += 1
+    return terms
+
+
+def euler_series(
+    n: int, scale: int = 1, ring: CoefficientRing = EXACT
+) -> TruncatedSeries:
+    """(q^t; q^t)_inf from its pentagonal terms; sparse, so this is the
+    fast builder the generating-function constructors lean on."""
+    norm = ring.normalize
+    cs = [0] * (n + 1)
+    for e, sign in pentagonal_terms(n, scale):
+        cs[e] = norm(sign)
     return TruncatedSeries(ring, cs, normalize=False)
 
 

@@ -6,15 +6,20 @@ from qbracelet import _kernel
 
 
 @pytest.fixture
-def conv_mod_calls(monkeypatch):
-    """The arguments of every ``_kernel.conv_mod`` call made after the
-    fixture is set up, in order."""
-    calls = []
-    real = _kernel.conv_mod
+def kernel_calls(monkeypatch):
+    """``kernel_calls(name)`` starts recording the arguments of every call
+    to ``_kernel.<name>`` (``conv_mod`` or ``conv_exact``) and returns the
+    list they go into, in call order."""
 
-    def counting(*args):
-        calls.append(args)
-        return real(*args)
+    def record(name):
+        calls = []
+        real = getattr(_kernel, name)
 
-    monkeypatch.setattr(_kernel, "conv_mod", counting)
-    return calls
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(_kernel, name, counting)
+        return calls
+
+    return record

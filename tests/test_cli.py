@@ -62,6 +62,21 @@ def test_coeffs_unknown_source_fails(runner):
     assert result.exit_code != 0
 
 
+@pytest.mark.parametrize(
+    "source, message",
+    [
+        ("product:1,2", "product factor '1,2' must be SIGN,OFFSET,STEP,EXP"),
+        ("product:-1,1,x,1", "product factor '-1,1,x,1' must be SIGN,OFFSET,STEP,EXP"),
+        ("euler:0", "euler step must be >= 1"),
+        ("bracelet:x", "source 'bracelet' parameter must be an integer, got 'x'"),
+    ],
+)
+def test_malformed_source_is_a_one_line_error(runner, source, message):
+    result = run(runner, "coeffs", source, "5")
+    assert result.exit_code == 1
+    assert result.output.splitlines() == [f"Error: {message}"]
+
+
 def test_coeffs_cap(runner, monkeypatch):
     monkeypatch.setenv("QBRACELET_ORDER_CAP", "100")
     result = run(runner, "coeffs", "partition", "101")

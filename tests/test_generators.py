@@ -18,6 +18,7 @@ from qbracelet import (
     ramanujan_a,
     ramanujan_b,
 )
+from qbracelet import generators
 from qbracelet.claims import default_catalog
 from qbracelet.generators import (
     RAMANUJAN_A_SPEC,
@@ -26,9 +27,15 @@ from qbracelet.generators import (
     eta_quotient,
     expand_product,
 )
-from qbracelet.oracles import count_l_regular, count_partitions, is_prime
+from qbracelet.oracles import (
+    count_l_regular,
+    count_partitions,
+    is_prime,
+    partition_numbers,
+)
 from qbracelet.products import ProductSpec, product_series
-from qbracelet.sources import expand_source
+from qbracelet.sources import expand_source, parse_source
+from qbracelet.verify import DEFAULT_ORDER_CAP_EXACT
 
 
 def test_partition_series_against_enumeration():
@@ -168,7 +175,60 @@ def test_eta_quotient_edge_cases():
         eta_quotient({0: 1}, 10)
 
 
-def test_expand_product_multiplies_its_parts_once(conv_mod_calls):
+CAP_SOURCES = (
+    "partition",
+    "lregular:2",
+    "lregular:16",
+    "brokendiamond:1",
+    "brokendiamond:10",
+    "bracelet:3",
+    "bracelet:5",
+    "bracelet:27",
+    "bracelet:100",
+)
+CAP_PRIME = 1_000_003
+CAP_PREFIX = 150
+
+
+@pytest.mark.parametrize("key", CAP_SOURCES)
+def test_exact_route_at_the_order_cap(key):
+    # the pentagonal recurrences against the modular route, which shares
+    # no code with them, and against binomial chains on a prefix
+    source = parse_source(key)
+    n = DEFAULT_ORDER_CAP_EXACT
+    exact = expand_source(source, EXACT, n)
+    assert exact.reduce_mod(CAP_PRIME) == expand_source(source, Mod(CAP_PRIME), n)
+    definition = product_series(_defining_spec(source), CAP_PREFIX, EXACT)
+    assert exact.resized(CAP_PREFIX) == definition
+    if source.kind == "partition":
+        assert exact.coeffs == partition_numbers(n)
+
+
+def test_exact_eta_quotient_makes_no_convolution(kernel_calls):
+    conv_exact_calls = kernel_calls("conv_exact")
+    gen_bracelet(21, 2000)
+    assert conv_exact_calls == []
+
+
+def test_exact_eta_quotient_of_one_factor_is_pentagonal():
+    assert eta_quotient({1: 1}, 1000) == euler_series(1000)
+
+
+def test_corrupted_pentagonal_terms_raise(monkeypatch):
+    # a constant term of 2 makes the lead power (f/2)^-5, which is not
+    # integral: the checked division must refuse it, never truncate
+    real = generators.pentagonal_terms
+
+    def corrupted(n, scale=1):
+        return [(0, 2)] + real(n, scale)[1:]
+
+    monkeypatch.setattr(generators, "pentagonal_terms", corrupted)
+    with pytest.raises(ArithmeticError):
+        gen_bracelet(5, 100)
+
+
+def test_expand_product_multiplies_its_parts_once(kernel_calls):
+    conv_mod_calls = kernel_calls("conv_mod")
     # eta part (q^2;q^2), general part (q;q^3): no powers, no inversion
     spec = ProductSpec.of((-1, 1, 3, 1), (-1, 2, 2, 1))
     got = expand_product(spec, 100, Mod(5))

@@ -104,7 +104,8 @@ def test_spec_str():
     assert str(spec) == "(q^2;q^2)oo/(q;q)oo^5"
 
 
-def test_product_series_never_multiplies_by_one(conv_mod_calls):
+def test_product_series_never_multiplies_by_one(kernel_calls):
+    conv_mod_calls = kernel_calls("conv_mod")
     spec = ProductSpec.parse("-1,2,2,1")
     expected = pochhammer_base(-1, 2, 2, 100, Mod(5))
     assert product_series(spec, 100, Mod(5)) == expected
