@@ -1,4 +1,4 @@
-"""Pure-Python convolution kernels built on Kronecker substitution.
+"""Convolution kernels built on Kronecker substitution.
 
 Truncated polynomial products are evaluated by packing coefficients into
 fixed-width byte lanes of one big integer and delegating the whole
@@ -6,10 +6,8 @@ convolution to CPython's native big-integer multiply (subquadratic, runs
 in C).  Lane widths are chosen from an a priori bound on the largest value
 any output lane can take, so lanes never overflow into their neighbours.
 
-This backend is exact for every supported ring and is also the only path
-for exact-integer coefficients (which the compiled backend cannot improve
-on: CPython's bignum multiply is already the fastest primitive available
-without an external multiprecision library).
+:func:`conv_mod` serves every modular ring and :func:`conv_exact` the
+exact integers.  ``series`` looks both up on this module at every call.
 """
 
 from __future__ import annotations

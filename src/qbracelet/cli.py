@@ -253,9 +253,7 @@ def search(k: int, amax: int, moduli: tuple[int, ...], nmax: int, fmt: str) -> N
         series = cache.get(source, Mod(m), order)
         for step in range(1, amax + 1):
             for residue in range(step):
-                if all(
-                    series.coeffs[step * n + residue] == 0 for n in range(nmax + 1)
-                ):
+                if not any(series.coeffs[residue : step * nmax + residue + 1 : step]):
                     found.append(
                         {"k": k, "step": step, "residue": residue, "modulus": m,
                          "n_checked": nmax}

@@ -12,7 +12,7 @@ turns every (-q^t;q^t) into (q^{2t};q^{2t})/(q^t;q^t): B_k becomes the
 eta-quotient prod_t (q^t;q^t)^{e_t} with exponent map
 {1: -k, 2: 1, k: 1, 2k: -1}.  The eta map goes to :func:`eta_quotient`,
 any other factors to the binomial chains of :func:`product_series`.
-:func:`eta_quotient` has two routes, chosen by the ring.
+:func:`eta_quotient` has three routes, chosen by the ring.
 
 Over Z: pentagonal recurrences, no convolution.  Each (q^t;q^t) has about
 2 sqrt(2n/3t) nonzero terms up to q^n.  The factor with the largest |e_t|
@@ -23,9 +23,18 @@ recurrence f_i = c_i - sum_j s_j f_{i-j}.  That is O(n sqrt n)
 small-by-bignum operations, where the convolutions and Newton inversion
 of the modular route would multiply bignums of hundreds of bits.
 
-Over Z/M: Frobenius, inflation and Newton.  The power recurrence divides
-by m, which is not invertible mod p, and at the modular orders one
-Kronecker product beats O(n sqrt n) anyway.  Over a prime modulus p,
+Over Z/2: one bitset, no convolution.  Mod 2, (q^t;q^t)^{2^k} ==
+(q^{t 2^k};q^{t 2^k}), which is 1 up to q^n once t 2^k > n.  So each
+exponent is taken mod 2^k for k = bitlength(n // t), which also makes it
+nonnegative, and each binary digit i of it multiplies a Python-int bitset
+by the sparse (q^{t 2^i};q^{t 2^i}): one shift and XOR per pentagonal
+term, masked to n + 1 bits.  The classical case is
+1/(q;q) == prod_{i<k} (q^{2^i};q^{2^i}) (mod 2).
+
+Over any other Z/M: Frobenius, inflation and Newton.  The power
+recurrence divides by m, which is not invertible mod p, the bitset
+identity holds mod 2 only, and at the modular orders one Kronecker
+product beats O(n sqrt n) anyway.  Over an odd prime modulus p,
 (q^t;q^t)^p == (q^{tp};q^{tp}) (mod p), so each exponent is split into
 base-p digits, (q^t;q^t)^{d p^i} becoming (q^{t p^i};q^{t p^i})^d, before
 equal steps are merged again and zero exponents dropped.  This is where
@@ -47,7 +56,7 @@ from operator import add, mul, sub
 
 from .oracles import is_prime
 from .products import ProductSpec, product_series
-from .rings import EXACT, CoefficientRing
+from .rings import EXACT, CoefficientRing, Mod
 from .series import TruncatedSeries
 from .theta import euler_series, pentagonal_terms
 
@@ -144,6 +153,30 @@ def _pentagonal_quotient(live: dict[int, int], n: int) -> TruncatedSeries:
     return TruncatedSeries(EXACT, cs, normalize=False)
 
 
+_BITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _gf2_quotient(live: dict[int, int], n: int) -> TruncatedSeries:
+    """prod_t (q^t;q^t)^{e_t} over Z/2 to order n, for 1 <= t <= n, with
+    no convolution: (q^t;q^t)^{2^k} == 1 once t 2^k > n, so e_t is taken
+    mod 2^k and each binary digit i of it multiplies one bitset by the
+    sparse (q^{t 2^i};q^{t 2^i}), shift by shift."""
+    mask = (1 << (n + 1)) - 1
+    bits = 1
+    for t, e in live.items():
+        e %= 1 << (n // t).bit_length()
+        while e:
+            if e & 1:
+                acc = 0
+                for j, _ in pentagonal_terms(n, t):
+                    acc ^= bits << j
+                bits = acc & mask
+            e >>= 1
+            t *= 2
+    digits = format(bits, f"0{n + 1}b")[::-1].encode().translate(_BITS)
+    return TruncatedSeries(Mod(2), list(digits), normalize=False)
+
+
 def eta_quotient(
     exponents: dict[int, int], n: int, ring: CoefficientRing = EXACT
 ) -> TruncatedSeries:
@@ -152,13 +185,16 @@ def eta_quotient(
         raise ValueError("eta-quotient steps must be >= 1")
     p = ring.modulus
     # the split changes nothing once p exceeds every exponent, which also
-    # keeps the primality test away from large moduli
+    # keeps the primality test away from large moduli; mod 2 the bitset
+    # route reads the binary digits of each exponent itself
     top = max(map(abs, exponents.values()), default=0)
-    if p is not None and p <= top and is_prime(p):
+    if p is not None and 2 < p <= top and is_prime(p):
         exponents = _frobenius_split(exponents, p)
     live = {t: e for t, e in exponents.items() if e and t <= n}
     if ring.is_exact:
         return _pentagonal_quotient(live, n)
+    if p == 2:
+        return _gf2_quotient(live, n)
     num = _euler_product({t: e for t, e in live.items() if e > 0}, n, ring, False)
     den = _euler_product({t: -e for t, e in live.items() if e < 0}, n, ring, True)
     if num is None:

@@ -213,6 +213,15 @@ def test_search_rediscovers_mod25(runner):
             "note": "candidate (bounded evidence only)"} in data
 
 
+@pytest.mark.parametrize("nmax, found", [(5, True), (6, False)])
+def test_search_checks_n_equal_to_nmax(runner, nmax, found):
+    # B_5(9n+7) is even for n < 6 and odd at n = 6
+    result = run(runner, "search", "5", "--amax", "9", "--mod", "2",
+                 "--nmax", str(nmax))
+    assert result.exit_code == 0
+    assert ("B_5(9n+7) ≡ 0 (mod 2)" in result.output) == found
+
+
 def test_search_trivial_step_is_empty(runner):
     result = run(runner, "search", "5", "--amax", "1", "--mod", "2",
                  "--nmax", "50")

@@ -158,6 +158,28 @@ def test_catalog_prime_builds_match_definition(source, p):
     assert fast == product_series(spec, CROSS_ROUTE_ORDER, EXACT).reduce_mod(p)
 
 
+def _catalog_mod2_sources():
+    sources = set()
+    for claim in default_catalog():
+        if claim.kind != "identity" and claim.modulus == 2:
+            sources.update(s for s in (claim.source, claim.rhs_source) if s is not None)
+    return sorted(sources, key=lambda source: source.key())
+
+
+@pytest.mark.parametrize("source", _catalog_mod2_sources(), ids=str)
+def test_catalog_mod2_builds_match_exact_reduction(source):
+    # the bitset route against the pentagonal route over Z, which never
+    # reduces an exponent
+    n = 2000
+    assert expand_source(source, Mod(2), n) == expand_source(source, EXACT, n).reduce_mod(2)
+
+
+def test_gf2_quotient_makes_no_convolution(kernel_calls):
+    conv_mod_calls = kernel_calls("conv_mod")
+    gen_bracelet(5, 30572, Mod(2))
+    assert conv_mod_calls == []
+
+
 def test_eta_quotient_frobenius_collapse():
     # B_125 == (q^2;q^2)/(q^250;q^250) and B_11 == (q^2;q^2)/(q^22;q^22) mod p
     n = 600

@@ -1,19 +1,10 @@
-"""Backend equivalence and edge cases for the convolution kernels."""
+"""The convolution kernels against a schoolbook reference, and edge cases."""
 
 import random
 
 import pytest
 
-from qbracelet._kernel import fallback
-
-try:
-    from qbracelet._kernel import _speedups
-except ImportError:
-    _speedups = None
-
-needs_speedups = pytest.mark.skipif(
-    _speedups is None, reason="compiled extension not built"
-)
+from qbracelet import _kernel
 
 
 def conv_reference(x, y, n_out):
@@ -38,7 +29,7 @@ def test_conv_mod_matches_reference(m):
         x = [rng.randrange(m) for _ in range(nx)]
         y = [rng.randrange(m) for _ in range(ny)]
         expect = [c % m for c in conv_reference(x, y, n_out)]
-        assert fallback.conv_mod(x, y, n_out, m) == expect
+        assert _kernel.conv_mod(x, y, n_out, m) == expect
 
 
 def test_conv_exact_matches_reference_signed():
@@ -49,42 +40,15 @@ def test_conv_exact_matches_reference_signed():
         n_out = rng.randrange(0, nx + ny)
         x = [rng.randrange(-(10**9), 10**9) for _ in range(nx)]
         y = [rng.randrange(-(10**9), 10**9) for _ in range(ny)]
-        assert fallback.conv_exact(x, y, n_out) == conv_reference(x, y, n_out)
+        assert _kernel.conv_exact(x, y, n_out) == conv_reference(x, y, n_out)
 
 
 def test_conv_exact_huge_coefficients():
     x = [10**50, -(10**45), 3]
     y = [1, 10**60]
-    assert fallback.conv_exact(x, y, 3) == conv_reference(x, y, 3)
+    assert _kernel.conv_exact(x, y, 3) == conv_reference(x, y, 3)
 
 
 def test_conv_zero_and_scalar():
-    assert fallback.conv_exact([0, 0], [0], 1) == [0, 0]
-    assert fallback.conv_mod([1], [1], 4, 7) == [1, 0, 0, 0, 0]
-
-
-@needs_speedups
-def test_compiled_mod2_matches_fallback():
-    rng = random.Random(42)
-    for n in (0, 1, 63, 64, 65, 200, 1000):
-        x = [rng.randrange(2) for _ in range(n + 1)]
-        y = [rng.randrange(2) for _ in range(n + 1)]
-        assert _speedups.conv_mod2_packed(x, y, n) == fallback.conv_mod(x, y, n, 2)
-
-
-@needs_speedups
-@pytest.mark.parametrize("m", [3, 5, 7, 121, 10007])
-def test_compiled_schoolbook_matches_fallback(m):
-    rng = random.Random(m)
-    for n in (0, 1, 17, 256):
-        x = [rng.randrange(m) for _ in range(n + 1)]
-        y = [rng.randrange(m) for _ in range(rng.randrange(1, n + 2))]
-        assert _speedups.conv_mod_small(x, y, n, m) == fallback.conv_mod(x, y, n, m)
-
-
-@needs_speedups
-def test_compiled_mismatched_lengths():
-    x = [1, 1, 1, 1, 1, 1, 1, 1]
-    y = [1]
-    assert _speedups.conv_mod2_packed(x, y, 3) == [1, 1, 1, 1]
-    assert _speedups.conv_mod_small(x, y, 3, 5) == [1, 1, 1, 1]
+    assert _kernel.conv_exact([0, 0], [0], 1) == [0, 0]
+    assert _kernel.conv_mod([1], [1], 4, 7) == [1, 0, 0, 0, 0]
