@@ -1,13 +1,23 @@
 """End-to-end CLI coverage through click's test runner."""
 
 import csv
+import dataclasses
 import io
 import json
 
 import pytest
 from click.testing import CliRunner
 
-from qbracelet.cli import main
+from qbracelet.claims import CongruenceClaim, resolve_selection
+from qbracelet.cli import _verify_csv, _verify_text, main
+from qbracelet.sources import (
+    bracelet_source,
+    euler_source,
+    lregular_source,
+    partition_source,
+    quintic_euler_source,
+)
+from qbracelet.verify import RunConfig, issue_report, verify
 
 
 @pytest.fixture
@@ -227,3 +237,64 @@ def test_search_trivial_step_is_empty(runner):
                  "--nmax", "50")
     assert result.exit_code == 0
     assert "0 candidates" in result.output
+
+
+RENDERED_TEXT = """\
+X1: p(5n+4) ≡ 0 (mod 5): PASS n≤1
+X2: Σ (q;q)oo(n) q^n ≡ -(q;q)oo (mod 2): PASS n≤10
+X3: (q;q)oo = (q^25;q^25)oo*(a(q)-q-q^2*b(q)): PASS n≤30
+X4: (q;q)oo(n+3) ≡ 0 (mod 2): FAIL at n=2 (value 1)
+X5: Σ p(n) q^n ≡ Σ b_5(n) q^n (mod 3): FAIL at n=5 (value 1)
+X6: p(5n+4) ≡ 0 (mod 5): FAIL at n=0 (value 0) \
+[guard violated: coefficient at n=0 is 0, expected a unit]
+X7: ERROR (truncation 56 exceeds the mod2 order cap 10)
+C16[p=5,r=1,a=1,j=1]: VACUOUS \
+(C16 needs r >= 3: for r <= 2 the alpha range 1..(r-1)/2 is empty)
+C99: ERROR (unknown claim id 'C99')
+-- 9 claims: 2 error, 3 fail, 3 pass, 1 vacuous
+"""
+
+RENDERED_CSV = """\
+claim_id,status,n_checked,truncation,counterexample_n,counterexample_value,elapsed_ms\r
+X1,pass,1,9,,,0.0\r
+X2,pass,10,10,,,0.0\r
+X3,pass,30,30,,,0.0\r
+X4,fail,5,8,2,1,0.0\r
+X5,fail,8,8,5,1,0.0\r
+X6,fail,1,9,0,0,0.0\r
+X7,error,0,56,,,0.0\r
+"C16[p=5,r=1,a=1,j=1]",vacuous,0,0,,,0.0\r
+C99,error,0,0,,,0.0\r
+"""
+
+
+def test_verify_rendering_is_pinned(monkeypatch, capsys):
+    # one run through every report shape; elapsed_ms is masked to 0.0
+    monkeypatch.delenv("QBRACELET_ORDER_CAP", raising=False)
+    claims = [
+        CongruenceClaim("X1", "vanishing", partition_source(), 5, 4, 5,
+                        default_n_max=1),
+        CongruenceClaim("X2", "series", euler_source(1), 1, 0, 2,
+                        rhs_source=euler_source(1), rhs_sign=-1, default_n_max=10),
+        CongruenceClaim("X3", "identity", euler_source(1), 1, 0, None,
+                        rhs_source=quintic_euler_source(), default_n_max=30),
+        # planted: (q;q) has odd coefficients at q^5 and q^7
+        CongruenceClaim("X4", "vanishing", euler_source(1), 1, 3, 2,
+                        default_n_max=5),
+        # planted: p(5) = 7 but b_5(5) = 6
+        CongruenceClaim("X5", "series", partition_source(), 1, 0, 3,
+                        rhs_source=lregular_source(5), default_n_max=8),
+        # C19-style guard on a constant that is 0 mod 5
+        CongruenceClaim("X6", "vanishing", partition_source(), 5, 4, 5,
+                        start_n=1, guard_nonzero=True, default_n_max=1),
+        CongruenceClaim("X7", "vanishing", bracelet_source(5), 10, 6, 2,
+                        default_n_max=5),
+    ]
+    _, issues = resolve_selection(["C16[p=5,r=1,a=1,j=1]", "C99"])
+    reports = verify(claims, RunConfig(order_cap_mod=10))
+    reports += [issue_report(issue) for issue in issues]
+    reports = [dataclasses.replace(r, elapsed_ms=0.0) for r in reports]
+    _verify_text(reports)
+    assert capsys.readouterr().out == RENDERED_TEXT
+    _verify_csv(reports)
+    assert capsys.readouterr().out == RENDERED_CSV
