@@ -1,18 +1,19 @@
 """Machine-checkable congruence claims and the built-in catalog.
 
-Three claim kinds:
+Every claim says that the progression ``lhs(A n + B)`` equals
+``sign * rhs(A' n + B')`` modulo M; the three kinds differ only in the
+right side and the ring:
 
-* ``vanishing``       coefficient of the source at A n + B is 0 mod M for all
-                      checked n;
-* ``series``          the dissected source is coefficientwise congruent mod M
-                      to a signed second series;
-* ``identity``        two exact series agree coefficientwise.
+* ``vanishing``       no right side: the progression is 0 mod M;
+* ``series``          the right side is a signed second series, mod M;
+* ``identity``        two exact series agree coefficientwise (no modulus).
 
 Infinite families (parameterized by primes, exponents, residue choices) are
-represented by :class:`ClaimFamily` objects whose ``instantiate`` validates
-the parameter ranges strictly: out-of-range parameters raise
-:class:`InstantiationError`, while parameter sets that make the whole family
-empty (an allowed but contentless statement) raise
+represented by :class:`ClaimFamily` objects.  A family's emitter states only
+the claim's fields; ``instantiate`` adds the id, ``params`` and ``imported``
+from the family and validates the parameter ranges strictly: out-of-range
+parameters raise :class:`InstantiationError`, while parameter sets that make
+the whole family empty (an allowed but contentless statement) raise
 :class:`VacuousFamilyError` so the harness can report them as vacuous.
 """
 
@@ -62,6 +63,20 @@ class CongruenceClaim:
     default_n_max: int = 200
     imported: bool = False
     params: tuple[tuple[str, int], ...] = ()
+
+    def __post_init__(self) -> None:
+        if self.kind not in ("vanishing", "series", "identity"):
+            raise ValueError(f"{self.claim_id}: unknown claim kind {self.kind!r}")
+        if (self.rhs_source is None) != (self.kind == "vanishing"):
+            raise ValueError(f"{self.claim_id}: only a vanishing claim has no rhs_source")
+        if (self.modulus is None) != (self.kind == "identity"):
+            raise ValueError(f"{self.claim_id}: only an identity claim has no modulus")
+        if self.modulus is not None and self.modulus < 2:
+            raise ValueError(f"{self.claim_id}: modulus must be >= 2, got {self.modulus}")
+        if min(self.step, self.rhs_step) < 1:
+            raise ValueError(f"{self.claim_id}: steps must be >= 1")
+        if min(self.residue, self.rhs_residue, self.start_n, self.default_n_max) < 0:
+            raise ValueError(f"{self.claim_id}: offsets and n bounds must be >= 0")
 
     @property
     def progression(self) -> tuple[int, int]:
@@ -113,7 +128,7 @@ class ClaimFamily:
     family_id: str
     param_names: tuple[str, ...]
     summary: str
-    emit: Callable[..., CongruenceClaim] = field(repr=False)
+    emit: Callable[..., dict] = field(repr=False)  # parameters -> claim fields
     default_grid: tuple[tuple[int, ...], ...] = ()
     imported: bool = False
 
@@ -127,7 +142,12 @@ class ClaimFamily:
                 f"{self.family_id} takes parameters {self.param_names}, "
                 f"got {tuple(sorted(params))}"
             )
-        return self.emit(**params)
+        return CongruenceClaim(
+            self.claim_id(**params),
+            **self.emit(**params),
+            imported=self.imported,
+            params=tuple((name, params[name]) for name in self.param_names),
+        )
 
     def default_instances(self) -> list[CongruenceClaim]:
         return [
@@ -143,18 +163,15 @@ def instantiate(family: ClaimFamily, params: Mapping[str, int]) -> CongruenceCla
 
 # --- family emitters -------------------------------------------------------
 
-def _emit_c2(p: int, r: int) -> CongruenceClaim:
+def _emit_c2(p: int, r: int) -> dict:
     _require_prime(p, 2)
     _check(r >= 1, f"r must be >= 1, got {r}")
     k = p**r
     _check(k >= 3, f"k = p^r must be >= 3, got {k}")
-    return CongruenceClaim(
-        _FAMILIES["C2"].claim_id(p=p, r=r), "vanishing", bracelet_source(k),
-        2, 1, p, imported=True, params=(("p", p), ("r", r)),
-    )
+    return dict(kind="vanishing", source=bracelet_source(k), step=2, residue=1, modulus=p)
 
 
-def _emit_c3(p: int, m: int, s: int) -> CongruenceClaim:
+def _emit_c3(p: int, m: int, s: int) -> dict:
     _require_prime(p)
     _check(m >= 1, f"m must be >= 1, got {m}")
     k = p * m
@@ -164,25 +181,23 @@ def _emit_c3(p: int, m: int, s: int) -> CongruenceClaim:
         legendre_symbol(12 * s + 1, p) == -1,
         f"12s+1 = {12 * s + 1} is not a quadratic nonresidue mod {p}",
     )
-    return CongruenceClaim(
-        _FAMILIES["C3"].claim_id(p=p, m=m, s=s), "vanishing", bracelet_source(k),
-        p, s, p, default_n_max=100, imported=True,
-        params=(("p", p), ("m", m), ("s", s)),
+    return dict(
+        kind="vanishing", source=bracelet_source(k), step=p, residue=s, modulus=p,
+        default_n_max=100,
     )
 
 
-def _emit_c4(m: int, l: int) -> CongruenceClaim:
+def _emit_c4(m: int, l: int) -> dict:
     _check(m >= 1, f"m must be >= 1, got {m}")
     _check(l >= 1 and l % 2 == 1, f"l must be odd and >= 1, got {l}")
     k = 2**m * l
     _check(k >= 3, f"k = 2^m l must be >= 3, got {k}")
-    return CongruenceClaim(
-        _FAMILIES["C4"].claim_id(m=m, l=l), "vanishing", bracelet_source(k),
-        2, 1, 2**m, imported=True, params=(("m", m), ("l", l)),
+    return dict(
+        kind="vanishing", source=bracelet_source(k), step=2, residue=1, modulus=2**m
     )
 
 
-def _emit_c10(p: int, a: int, i: int) -> CongruenceClaim:
+def _emit_c10(p: int, a: int, i: int) -> dict:
     _require_prime(p)
     _check(
         legendre_symbol(-10, p) == -1,
@@ -192,30 +207,28 @@ def _emit_c10(p: int, a: int, i: int) -> CongruenceClaim:
     _check(1 <= i <= p - 1, f"i must lie in 1..{p - 1}, got {i}")
     step = 4 * p ** (2 * a)
     residue = _exact_div((24 * i + 7 * p) * p ** (2 * a - 1) - 1, 6, "C10 residue")
-    return CongruenceClaim(
-        _FAMILIES["C10"].claim_id(p=p, a=a, i=i), "vanishing", lregular_source(5),
-        step, residue, 2, default_n_max=3, imported=True,
-        params=(("p", p), ("a", a), ("i", i)),
+    return dict(
+        kind="vanishing", source=lregular_source(5), step=step, residue=residue,
+        modulus=2, default_n_max=3,
     )
 
 
 _C11_TABLE = {1: (1, 31), 2: (1, 79), 3: (2, 83), 4: (2, 107)}
 
 
-def _emit_c11(v: int, a: int) -> CongruenceClaim:
+def _emit_c11(v: int, a: int) -> dict:
     _check(v in _C11_TABLE, f"variant must be 1..4, got {v}")
     _check(a >= 0, f"alpha must be >= 0, got {a}")
     extra, c = _C11_TABLE[v]
     step = 4 * 5 ** (2 * a + extra)
     residue = _exact_div(c * 5 ** (2 * a + extra - 1) - 1, 6, "C11 residue")
-    return CongruenceClaim(
-        _FAMILIES["C11"].claim_id(v=v, a=a), "vanishing", lregular_source(5),
-        step, residue, 2, default_n_max=100 if a == 0 else 80, imported=True,
-        params=(("v", v), ("a", a)),
+    return dict(
+        kind="vanishing", source=lregular_source(5), step=step, residue=residue,
+        modulus=2, default_n_max=100 if a == 0 else 80,
     )
 
 
-def _emit_c12(p: int, a: int, i: int) -> CongruenceClaim:
+def _emit_c12(p: int, a: int, i: int) -> dict:
     _require_prime(p)
     _check(
         legendre_symbol(-10, p) == -1,
@@ -225,29 +238,28 @@ def _emit_c12(p: int, a: int, i: int) -> CongruenceClaim:
     _check(1 <= i <= p - 1, f"i must lie in 1..{p - 1}, got {i}")
     step = 40 * p ** (2 * a)
     residue = _exact_div(5 * (24 * i + 7 * p) * p ** (2 * a - 1) + 1, 3, "C12 residue")
-    return CongruenceClaim(
-        _FAMILIES["C12"].claim_id(p=p, a=a, i=i), "vanishing", bracelet_source(5),
-        step, residue, 2, default_n_max=2,
-        params=(("p", p), ("a", a), ("i", i)),
+    return dict(
+        kind="vanishing", source=bracelet_source(5), step=step, residue=residue,
+        modulus=2, default_n_max=2,
     )
 
 
 _C13_TABLE = {1: (0, 31), 2: (0, 79), 3: (1, 83), 4: (1, 107)}
 
 
-def _emit_c13(v: int, a: int) -> CongruenceClaim:
+def _emit_c13(v: int, a: int) -> dict:
     _check(v in _C13_TABLE, f"variant must be 1..4, got {v}")
     _check(a >= 1, f"alpha must be >= 1, got {a}")
     extra, c = _C13_TABLE[v]
     step = 8 * 5 ** (2 * a + extra)
     residue = _exact_div(c * 5 ** (2 * a + extra - 1) + 1, 3, "C13 residue")
-    return CongruenceClaim(
-        _FAMILIES["C13"].claim_id(v=v, a=a), "vanishing", bracelet_source(5),
-        step, residue, 2, default_n_max=20, params=(("v", v), ("a", a)),
+    return dict(
+        kind="vanishing", source=bracelet_source(5), step=step, residue=residue,
+        modulus=2, default_n_max=20,
     )
 
 
-def _emit_c14(p: int, r: int, a: int) -> CongruenceClaim:
+def _emit_c14(p: int, r: int, a: int) -> dict:
     _require_prime(p)
     _check(r >= 1, f"r must be >= 1, got {r}")
     _check(a >= 1 and 2 * a <= r + 1, f"alpha must lie in 1..(r+1)/2, got {a}")
@@ -257,14 +269,13 @@ def _emit_c14(p: int, r: int, a: int) -> CongruenceClaim:
     e = p ** (r - 2 * a + 1)
     rhs = product_source(ProductSpec.of((-1, 2 * p, 2 * p, 1), (-1, 2 * e, 2 * e, -1)))
     sign = PrimeContext(p).epsilon ** a
-    return CongruenceClaim(
-        _FAMILIES["C14"].claim_id(p=p, r=r, a=a), "series", bracelet_source(k),
-        step, residue, p, rhs_source=rhs, rhs_sign=sign,
-        params=(("p", p), ("r", r), ("a", a)),
+    return dict(
+        kind="series", source=bracelet_source(k), step=step, residue=residue,
+        modulus=p, rhs_source=rhs, rhs_sign=sign,
     )
 
 
-def _emit_c15(p: int, r: int, a: int, i: int) -> CongruenceClaim:
+def _emit_c15(p: int, r: int, a: int, i: int) -> dict:
     _require_prime(p)
     _check(r >= 1, f"r must be >= 1, got {r}")
     if r < 2:
@@ -275,14 +286,13 @@ def _emit_c15(p: int, r: int, a: int, i: int) -> CongruenceClaim:
     _check(1 <= i <= p - 1, f"i must lie in 1..{p - 1}, got {i}")
     step = p ** (2 * a)
     residue = _exact_div((12 * i + p) * p ** (2 * a - 1) - 1, 12, "C15 residue")
-    return CongruenceClaim(
-        _FAMILIES["C15"].claim_id(p=p, r=r, a=a, i=i), "vanishing",
-        bracelet_source(p**r), step, residue, p, default_n_max=100,
-        params=(("p", p), ("r", r), ("a", a), ("i", i)),
+    return dict(
+        kind="vanishing", source=bracelet_source(p**r), step=step, residue=residue,
+        modulus=p, default_n_max=100,
     )
 
 
-def _emit_c16(p: int, r: int, a: int, j: int) -> CongruenceClaim:
+def _emit_c16(p: int, r: int, a: int, j: int) -> dict:
     _require_prime(p)
     _check(r >= 1, f"r must be >= 1, got {r}")
     if r <= 2:
@@ -297,14 +307,13 @@ def _emit_c16(p: int, r: int, a: int, j: int) -> CongruenceClaim:
     )
     step = p ** (2 * a + 1)
     residue = _exact_div((12 * j + 1) * p ** (2 * a) - 1, 12, "C16 residue")
-    return CongruenceClaim(
-        _FAMILIES["C16"].claim_id(p=p, r=r, a=a, j=j), "vanishing",
-        bracelet_source(p**r), step, residue, p, default_n_max=40,
-        params=(("p", p), ("r", r), ("a", a), ("j", j)),
+    return dict(
+        kind="vanishing", source=bracelet_source(p**r), step=step, residue=residue,
+        modulus=p, default_n_max=40,
     )
 
 
-def _emit_c17(p: int, a: int, v: int) -> CongruenceClaim:
+def _emit_c17(p: int, a: int, v: int) -> dict:
     _require_prime(p)
     _check(a >= 1, f"alpha must be >= 1, got {a}")
     _check(v in (1, 2), f"variant must be 1 or 2, got {v}")
@@ -316,30 +325,29 @@ def _emit_c17(p: int, a: int, v: int) -> CongruenceClaim:
     else:
         rhs = product_source(ProductSpec.of((-1, p, p, 1), (-1, 1, 1, -1)))
     sign = PrimeContext(p).epsilon ** a
-    return CongruenceClaim(
-        _FAMILIES["C17"].claim_id(p=p, a=a, v=v), "series", bracelet_source(k),
-        step, residue, p, rhs_source=rhs, rhs_sign=sign,
-        params=(("p", p), ("a", a), ("v", v)),
+    return dict(
+        kind="series", source=bracelet_source(k), step=step, residue=residue,
+        modulus=p, rhs_source=rhs, rhs_sign=sign,
     )
 
 
 _C18_CONSTANTS = {5: 101, 7: 127, 11: 155}
 
 
-def _emit_c18(p: int, a: int) -> CongruenceClaim:
+def _emit_c18(p: int, a: int) -> dict:
     _check(p in _C18_CONSTANTS, f"p must be 5, 7 or 11, got {p}")
     _check(a >= 1, f"alpha must be >= 1, got {a}")
     c = _C18_CONSTANTS[p]
     k = p ** (2 * a - 1)
     step = 2 * p ** (2 * a)
     residue = _exact_div(c * p ** (2 * a - 1) - 1, 12, "C18 residue")
-    return CongruenceClaim(
-        _FAMILIES["C18"].claim_id(p=p, a=a), "vanishing", bracelet_source(k),
-        step, residue, p, default_n_max=40, params=(("p", p), ("a", a)),
+    return dict(
+        kind="vanishing", source=bracelet_source(k), step=step, residue=residue,
+        modulus=p, default_n_max=40,
     )
 
 
-def _emit_c19(p: int, a: int) -> CongruenceClaim:
+def _emit_c19(p: int, a: int) -> dict:
     _require_prime(p)
     _check(a >= 1, f"alpha must be >= 1, got {a}")
     k = p ** (2 * a)
@@ -348,10 +356,9 @@ def _emit_c19(p: int, a: int) -> CongruenceClaim:
     # valid only from n = 1 on: the n = 0 coefficient equals epsilon^a, so the
     # claim also guards that it is nonzero mod p (a vacuous pass would hide a
     # broken expansion)
-    return CongruenceClaim(
-        _FAMILIES["C19"].claim_id(p=p, a=a), "vanishing", bracelet_source(k),
-        step, residue, p, start_n=1, guard_nonzero=True, default_n_max=300,
-        params=(("p", p), ("a", a)),
+    return dict(
+        kind="vanishing", source=bracelet_source(k), step=step, residue=residue,
+        modulus=p, start_n=1, guard_nonzero=True, default_n_max=300,
     )
 
 
@@ -563,12 +570,18 @@ def resolve_selection(
             issues.append(SelectionIssue(text, "error", f"unknown claim family {base!r}"))
             continue
         try:
-            params = {}
-            for piece in inner.split(","):
-                name, _, value = piece.partition("=")
-                params[name.strip()] = int(value)
+            pairs = [piece.partition("=") for piece in inner.split(",")]
+            pairs = [(name.strip(), int(value)) for name, _, value in pairs]
         except ValueError:
             issues.append(SelectionIssue(text, "error", f"unparseable parameters in {text!r}"))
+            continue
+        params = dict(pairs)
+        if len(params) < len(pairs):
+            names = [name for name, _ in pairs]
+            twice = next(name for name in names if names.count(name) > 1)
+            issues.append(
+                SelectionIssue(text, "error", f"parameter {twice!r} given twice in {text!r}")
+            )
             continue
         try:
             add(_FAMILIES[base].instantiate(**params))

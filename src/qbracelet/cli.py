@@ -12,19 +12,16 @@ import sys
 import click
 
 from .claims import default_catalog, resolve_selection
-from .rings import EXACT, Mod
+from .rings import EXACT, CoefficientRing, Mod
 from .sources import bracelet_source, expand_source, parse_source
 from .verify import (
     RunConfig,
     SeriesCache,
     issue_report,
+    progression,
     reports_to_json,
     verify,
 )
-
-
-def _ring(mod: int | None):
-    return EXACT if mod is None else Mod(mod)
 
 
 def _config(**kwargs) -> RunConfig:
@@ -34,13 +31,33 @@ def _config(**kwargs) -> RunConfig:
         raise click.ClickException(str(exc)) from None
 
 
-def _check_cap(order: int, mod: int | None, config: RunConfig) -> None:
-    cap = config.order_cap_exact if mod is None else config.order_cap_mod
+def _check_cap(order: int, ring: CoefficientRing, config: RunConfig) -> None:
+    cap = config.cap_for(ring)
     if order > cap:
         raise click.ClickException(
             f"required order {order} exceeds the cap {cap} "
             f"(override with QBRACELET_ORDER_CAP)"
         )
+
+
+def _expand(source: str, mod: int | None, order: int):
+    """Parse SOURCE and expand it to ORDER; bad input is a one-line error."""
+    config = _config()
+    try:
+        ring = EXACT if mod is None else Mod(mod)
+        _check_cap(order, ring, config)
+        src = parse_source(source)
+        return src, expand_source(src, ring, order)
+    except ValueError as exc:
+        raise click.ClickException(str(exc)) from None
+
+
+def _echo_csv(header: list[str], rows) -> None:
+    out = io.StringIO()
+    writer = csv.writer(out)
+    writer.writerow(header)
+    writer.writerows(rows)
+    click.echo(out.getvalue(), nl=False)
 
 
 def _dump_coefficients(coeffs: list[int], fmt: str, meta: dict) -> None:
@@ -49,12 +66,7 @@ def _dump_coefficients(coeffs: list[int], fmt: str, meta: dict) -> None:
     elif fmt == "json":
         click.echo(json.dumps({**meta, "coefficients": coeffs}, sort_keys=True))
     else:
-        out = io.StringIO()
-        writer = csv.writer(out)
-        writer.writerow(["n", "coefficient"])
-        for n, c in enumerate(coeffs):
-            writer.writerow([n, c])
-        click.echo(out.getvalue(), nl=False)
+        _echo_csv(["n", "coefficient"], enumerate(coeffs))
 
 
 @click.group()
@@ -77,13 +89,7 @@ def coeffs(source: str, n: int, mod: int | None, fmt: str) -> None:
     """Print coefficients 0..N of SOURCE."""
     if n < 0:
         raise click.ClickException("N must be >= 0")
-    config = _config()
-    _check_cap(n, mod, config)
-    try:
-        src = parse_source(source)
-        series = expand_source(src, _ring(mod), n)
-    except ValueError as exc:
-        raise click.ClickException(str(exc)) from None
+    src, series = _expand(source, mod, n)
     _dump_coefficients(
         series.coeffs, fmt, {"source": src.key(), "modulus": mod, "order": n}
     )
@@ -109,18 +115,9 @@ def dissect(
         raise click.ClickException("STEP must be >= 1")
     if not 0 <= residue < step:
         raise click.ClickException("RESIDUE must satisfy 0 <= RESIDUE < STEP")
-    full_order = step * order + residue
-    config = _config()
-    _check_cap(full_order, mod, config)
-    try:
-        src = parse_source(source)
-        series = expand_source(src, _ring(mod), full_order)
-        part = series.dissect(step, residue)
-    except ValueError as exc:
-        raise click.ClickException(str(exc)) from None
-    coeffs_out = part.coeffs[: order + 1]
+    src, series = _expand(source, mod, step * order + residue)
     _dump_coefficients(
-        coeffs_out,
+        series.dissect(step, residue).coeffs,
         fmt,
         {
             "source": src.key(),
@@ -158,9 +155,7 @@ def _verify_text(reports) -> None:
 
 
 def _verify_csv(reports) -> None:
-    out = io.StringIO()
-    writer = csv.writer(out)
-    writer.writerow(
+    _echo_csv(
         [
             "claim_id",
             "status",
@@ -169,22 +164,20 @@ def _verify_csv(reports) -> None:
             "counterexample_n",
             "counterexample_value",
             "elapsed_ms",
-        ]
-    )
-    for r in reports:
-        ce = r.counterexample or {}
-        writer.writerow(
+        ],
+        (
             [
                 r.claim_id,
                 r.status,
                 r.n_checked,
                 r.truncation,
-                ce.get("n", ""),
-                ce.get("value", ""),
+                (r.counterexample or {}).get("n", ""),
+                (r.counterexample or {}).get("value", ""),
                 r.elapsed_ms,
             ]
-        )
-    click.echo(out.getvalue(), nl=False)
+            for r in reports
+        ),
+    )
 
 
 @main.command(name="verify")
@@ -241,19 +234,19 @@ def search(k: int, amax: int, moduli: tuple[int, ...], nmax: int, fmt: str) -> N
         raise click.ClickException("k must be >= 3")
     if amax < 1:
         raise click.ClickException("amax must be >= 1")
+    if min(moduli) < 2:
+        raise click.ClickException("moduli must be >= 2")
     config = _config()
     order = amax * nmax + amax - 1
-    _check_cap(order, max(moduli), config)
+    _check_cap(order, Mod(max(moduli)), config)
     source = bracelet_source(k)
     cache = SeriesCache()
     found = []
     for m in sorted(set(moduli)):
-        if m < 2:
-            raise click.ClickException("moduli must be >= 2")
         series = cache.get(source, Mod(m), order)
         for step in range(1, amax + 1):
             for residue in range(step):
-                if not any(series.coeffs[residue : step * nmax + residue + 1 : step]):
+                if not any(progression(series, step, residue, nmax)):
                     found.append(
                         {"k": k, "step": step, "residue": residue, "modulus": m,
                          "n_checked": nmax}
@@ -262,13 +255,8 @@ def search(k: int, amax: int, moduli: tuple[int, ...], nmax: int, fmt: str) -> N
     if fmt == "json":
         click.echo(json.dumps([{**f, "note": note} for f in found], sort_keys=True))
     elif fmt == "csv":
-        out = io.StringIO()
-        writer = csv.writer(out)
-        writer.writerow(["k", "step", "residue", "modulus", "n_checked"])
-        for f in found:
-            writer.writerow([f["k"], f["step"], f["residue"], f["modulus"],
-                             f["n_checked"]])
-        click.echo(out.getvalue(), nl=False)
+        header = ["k", "step", "residue", "modulus", "n_checked"]
+        _echo_csv(header, ([f[name] for name in header] for f in found))
     else:
         for f in found:
             click.echo(

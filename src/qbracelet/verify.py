@@ -1,5 +1,6 @@
 """Verification engine: expands claim sources once per (source, ring) pair
-and checks every claim against its stated progression and modulus.
+and checks every claim as one progression compared against a signed
+progression (all zeros for a vanishing claim).
 
 Reports never abort the run; per-claim problems (order cap exceeded,
 non-invertible constant terms, ...) become ``error`` reports.  Every
@@ -14,14 +15,13 @@ import os
 import time
 from dataclasses import dataclass, field
 
-from .claims import CongruenceClaim, SelectionIssue, claim_sort_key, required_truncation
+from .claims import CongruenceClaim, SelectionIssue, claim_sort_key
 from .rings import EXACT, CoefficientRing, Mod
 from .series import TruncatedSeries
 from .sources import SeriesSource, expand_source
 
 ORDER_CAP_ENV = "QBRACELET_ORDER_CAP"
 
-DEFAULT_N_MAX = 200
 DEFAULT_ORDER_CAP_EXACT = 2_000
 DEFAULT_ORDER_CAP_MOD = 50_000
 
@@ -72,9 +72,7 @@ class RunConfig:
         return self.order_cap_exact if ring.is_exact else self.order_cap_mod
 
     def n_max_for(self, claim: CongruenceClaim) -> int:
-        if self.n_max is not None:
-            return self.n_max
-        return claim.default_n_max if claim.default_n_max else DEFAULT_N_MAX
+        return claim.default_n_max if self.n_max is None else self.n_max
 
 
 @dataclass
@@ -82,10 +80,10 @@ class VerificationReport:
     claim_id: str
     params: dict[str, int]
     status: str  # pass | fail | vacuous | error
-    n_checked: int
-    truncation: int
-    counterexample: dict[str, int] | None
-    elapsed_ms: float
+    n_checked: int = 0
+    truncation: int = 0
+    counterexample: dict[str, int] | None = None
+    elapsed_ms: float = 0.0
     description: str = ""
     message: str = ""
 
@@ -136,108 +134,56 @@ class SeriesCache:
         return cached
 
 
-def _claim_ring(claim: CongruenceClaim) -> CoefficientRing:
-    return EXACT if claim.kind == "identity" else Mod(claim.modulus)
+def progression(series: TruncatedSeries, step: int, residue: int, n_max: int) -> list[int]:
+    """Coefficients at ``step * n + residue`` for n = 0..n_max.
+
+    Unlike ``TruncatedSeries.dissect`` this allows ``residue >= step``,
+    which large family parameters legitimately produce.
+    """
+    return series.coeffs[residue : step * n_max + residue + 1 : step]
 
 
-def _claim_needs(
-    claim: CongruenceClaim, n_max: int
-) -> list[tuple[SeriesSource, CoefficientRing, int]]:
-    ring = _claim_ring(claim)
-    needs = [(claim.source, ring, required_truncation(claim, n_max))]
-    if claim.kind in ("series", "identity"):
-        needs.append(
-            (claim.rhs_source, ring, claim.rhs_step * n_max + claim.rhs_residue)
-        )
-    return needs
+Side = tuple[SeriesSource, int, int, int]  # source, step, residue, order
 
 
-def _progression(series: TruncatedSeries, step: int, residue: int, n_max: int) -> list[int]:
-    # plain index walk: unlike TruncatedSeries.dissect this tolerates
-    # residues >= step, which large family parameters legitimately produce
-    return [series.coeffs[step * n + residue] for n in range(n_max + 1)]
+def _sides(claim: CongruenceClaim, n_max: int) -> list[Side]:
+    """(source, step, residue, order) of the left side and, unless the claim
+    is vanishing, of the right side; each order reaches n = n_max."""
+    sides = [(claim.source, claim.step, claim.residue)]
+    if claim.kind != "vanishing":
+        sides.append((claim.rhs_source, claim.rhs_step, claim.rhs_residue))
+    return [(source, step, residue, step * n_max + residue)
+            for source, step, residue in sides]
 
 
-def _evaluate(
-    claim: CongruenceClaim, n_max: int, cache: SeriesCache
-) -> VerificationReport:
-    start = time.perf_counter()
-    ring = _claim_ring(claim)
-    truncation = required_truncation(claim, n_max)
-    lhs = cache.get(claim.source, ring, truncation)
-    status = "pass"
-    counterexample = None
-    message = ""
-
-    if claim.kind == "vanishing":
-        if claim.guard_nonzero:
-            c0 = lhs.coeffs[claim.residue]
-            if c0 == 0:
-                status = "fail"
-                counterexample = {"n": 0, "value": 0}
-                message = "guard violated: coefficient at n=0 is 0, expected a unit"
-        if status == "pass":
-            for n in range(claim.start_n, n_max + 1):
-                value = lhs.coeffs[claim.step * n + claim.residue]
-                if value != 0:
-                    status = "fail"
-                    counterexample = {"n": n, "value": value}
-                    break
+def _compare(
+    claim: CongruenceClaim,
+    n_max: int,
+    ring: CoefficientRing,
+    sides: list[Side],
+    cache: SeriesCache,
+) -> tuple[str, dict[str, int] | None, str]:
+    """Check ``lhs(A n + B) == sign * rhs(...)`` for start_n <= n <= n_max; a
+    vanishing claim's right side is 0.  Returns (status, counterexample, message)."""
+    left, *rest = [
+        progression(cache.get(source, ring, order), step, residue, n_max)
+        for source, step, residue, order in sides
+    ]
+    if rest:
+        right = [ring.normalize(claim.rhs_sign * c) for c in rest[0]]
     else:
-        rhs_order = claim.rhs_step * n_max + claim.rhs_residue
-        rhs = cache.get(claim.rhs_source, ring, rhs_order)
-        left = _progression(lhs, claim.step, claim.residue, n_max)
-        right = _progression(rhs, claim.rhs_step, claim.rhs_residue, n_max)
-        if claim.rhs_sign != 1:
-            right = [ring.normalize(claim.rhs_sign * c) for c in right]
-        for n, (a, b) in enumerate(zip(left, right)):
-            if a != b:
-                status = "fail"
-                counterexample = {"n": n, "value": ring.normalize(a - b)}
-                break
-
-    elapsed = (time.perf_counter() - start) * 1000.0
-    return VerificationReport(
-        claim_id=claim.claim_id,
-        params=claim.params_dict(),
-        status=status,
-        n_checked=n_max,
-        truncation=truncation,
-        counterexample=counterexample,
-        elapsed_ms=round(elapsed, 3),
-        description=claim.describe(),
-        message=message,
-    )
-
-
-def _error_report(
-    claim: CongruenceClaim, n_max: int, message: str
-) -> VerificationReport:
-    return VerificationReport(
-        claim_id=claim.claim_id,
-        params=claim.params_dict(),
-        status="error",
-        n_checked=0,
-        truncation=required_truncation(claim, n_max),
-        counterexample=None,
-        elapsed_ms=0.0,
-        description=claim.describe(),
-        message=message,
-    )
+        right = [0] * len(left)
+    if claim.guard_nonzero and left[0] == 0:
+        message = "guard violated: coefficient at n=0 is 0, expected a unit"
+        return "fail", {"n": 0, "value": 0}, message
+    for n in range(claim.start_n, n_max + 1):
+        if left[n] != right[n]:
+            return "fail", {"n": n, "value": ring.normalize(left[n] - right[n])}, ""
+    return "pass", None, ""
 
 
 def issue_report(issue: SelectionIssue) -> VerificationReport:
-    return VerificationReport(
-        claim_id=issue.claim_id,
-        params={},
-        status=issue.status,
-        n_checked=0,
-        truncation=0,
-        counterexample=None,
-        elapsed_ms=0.0,
-        description="",
-        message=issue.message,
-    )
+    return VerificationReport(issue.claim_id, {}, issue.status, message=issue.message)
 
 
 def verify(
@@ -248,29 +194,26 @@ def verify(
     """Check every claim and return one report per claim, ordered by id."""
     config = config or RunConfig()
     cache = cache if cache is not None else SeriesCache()
-    claims = sorted(claims, key=claim_sort_key)
 
-    # Plan: per (normal form, ring), the largest order any runnable claim needs.
+    # Plan: each claim's sides once; per (normal form, ring), the largest
+    # order any claim within the caps needs.
+    jobs = []
     plan: dict[tuple, tuple[SeriesSource, CoefficientRing, int]] = {}
-    capped: dict[str, str] = {}
-    for claim in claims:
-        needs = _claim_needs(claim, config.n_max_for(claim))
-        over = [
-            (ring, order)
-            for _, ring, order in needs
-            if order > config.cap_for(ring)
-        ]
+    for claim in sorted(claims, key=claim_sort_key):
+        n_max = config.n_max_for(claim)
+        ring = EXACT if claim.kind == "identity" else Mod(claim.modulus)
+        sides = _sides(claim, n_max)
+        cap = config.cap_for(ring)
+        over = [order for *_, order in sides if order > cap]
+        problem = ""
         if over:
-            ring, order = over[0]
-            capped[claim.claim_id] = (
-                f"truncation {order} exceeds the {ring.key()} order cap "
-                f"{config.cap_for(ring)}"
-            )
+            problem = f"truncation {over[0]} exceeds the {ring.key()} order cap {cap}"
+        jobs.append((claim, n_max, ring, sides, problem))
+        if problem:
             continue
-        for source, ring, order in needs:
+        for source, *_, order in sides:
             key = _series_key(source, ring)
-            prev = plan.get(key)
-            if prev is None or prev[2] < order:
+            if key not in plan or plan[key][2] < order:
                 plan[key] = (source, ring, order)
 
     # Build every series once, in source-key order, then evaluate.
@@ -283,17 +226,31 @@ def verify(
         except Exception as exc:  # kept in the report, never aborts the run
             build_errors[_series_key(source, ring)] = f"{type(exc).__name__}: {exc}"
 
-    def run_one(claim: CongruenceClaim) -> VerificationReport:
-        n_max = config.n_max_for(claim)
-        if claim.claim_id in capped:
-            return _error_report(claim, n_max, capped[claim.claim_id])
-        for source, ring, _ in _claim_needs(claim, n_max):
-            err = build_errors.get(_series_key(source, ring))
-            if err:
-                return _error_report(claim, n_max, err)
-        try:
-            return _evaluate(claim, n_max, cache)
-        except Exception as exc:
-            return _error_report(claim, n_max, f"{type(exc).__name__}: {exc}")
-
-    return [run_one(claim) for claim in claims]
+    reports = []
+    for claim, n_max, ring, sides, problem in jobs:
+        start = time.perf_counter()
+        errors = [build_errors.get(_series_key(side[0], ring)) for side in sides]
+        problem = problem or next(filter(None, errors), "")
+        status, counterexample = "error", None
+        if not problem:
+            try:
+                status, counterexample, problem = _compare(
+                    claim, n_max, ring, sides, cache
+                )
+            except Exception as exc:
+                problem = f"{type(exc).__name__}: {exc}"
+        elapsed = 0.0 if status == "error" else (time.perf_counter() - start) * 1000.0
+        reports.append(
+            VerificationReport(
+                claim.claim_id,
+                claim.params_dict(),
+                status,
+                n_checked=0 if status == "error" else n_max,
+                truncation=sides[0][3],
+                counterexample=counterexample,
+                elapsed_ms=round(elapsed, 3),
+                description=claim.describe(),
+                message=problem,
+            )
+        )
+    return reports

@@ -15,6 +15,7 @@ from qbracelet.claims import (
     required_truncation,
     resolve_selection,
 )
+from qbracelet.sources import euler_source, partition_source
 
 
 def test_builtin_catalog_shape():
@@ -87,6 +88,8 @@ def test_instantiate_c14_example():
     assert claim.progression == (5, 2)
     assert claim.rhs_sign == -1  # epsilon_5 = -1
     assert claim.rhs_source.key() == "product:-1,10,10,1;-1,2,2,-1"
+    assert claim.claim_id == "C14[p=5,r=1,a=1]"
+    assert claim.params == (("p", 5), ("r", 1), ("a", 1))  # param_names order
 
 
 def test_instantiate_c14_exponent_bookkeeping():
@@ -174,6 +177,44 @@ def test_resolve_selection_reports_vacuous_and_errors():
     assert statuses["C99"] == "error"
     assert statuses["C15[p=4,r=2,a=1,i=1]"] == "error"
     assert statuses["garbage"] == "error"
+
+
+def test_resolve_selection_rejects_a_repeated_parameter():
+    claims, issues = resolve_selection(["C14[p=5,r=3,a=1,a=2]"])
+    assert claims == []
+    assert [(i.status, i.message) for i in issues] == [
+        ("error", "parameter 'a' given twice in 'C14[p=5,r=3,a=1,a=2]'")
+    ]
+
+
+@pytest.mark.parametrize(
+    "kw",
+    [
+        {"kind": "vanish"},
+        {"kind": "series"},
+        {"rhs_source": euler_source(1)},
+        {"modulus": None},
+        {"modulus": 1},
+        {"kind": "identity", "rhs_source": euler_source(1)},
+        {"kind": "series", "rhs_source": euler_source(1), "modulus": 0},
+        {"step": 0},
+        {"kind": "series", "rhs_source": euler_source(1), "rhs_step": 0},
+        {"residue": -1},
+        {"start_n": -1},
+        {"default_n_max": -1},
+    ],
+    ids=[
+        "unknown-kind", "series-without-rhs", "vanishing-with-rhs",
+        "vanishing-without-modulus", "modulus-1", "identity-with-modulus",
+        "series-modulus-0", "step-0", "rhs-step-0", "negative-residue",
+        "negative-start", "negative-n-max",
+    ],
+)
+def test_malformed_claim_is_rejected(kw):
+    fields = dict(claim_id="X1", kind="vanishing", source=partition_source(),
+                  step=5, residue=4, modulus=5)
+    with pytest.raises(ValueError, match="X1: "):
+        CongruenceClaim(**{**fields, **kw})
 
 
 def test_resolve_selection_family_defaults_and_dedup():

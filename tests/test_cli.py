@@ -232,6 +232,15 @@ def test_search_checks_n_equal_to_nmax(runner, nmax, found):
     assert ("B_5(9n+7) ≡ 0 (mod 2)" in result.output) == found
 
 
+def test_search_csv(runner):
+    result = run(runner, "search", "5", "--amax", "10", "--mod", "2",
+                 "--nmax", "200", "--format", "csv")
+    rows = list(csv.reader(io.StringIO(result.output)))
+    assert rows[0] == ["k", "step", "residue", "modulus", "n_checked"]
+    assert ["5", "10", "6", "2", "200"] in rows[1:]
+    assert all(len(row) == 5 for row in rows)
+
+
 def test_search_trivial_step_is_empty(runner):
     result = run(runner, "search", "5", "--amax", "1", "--mod", "2",
                  "--nmax", "50")

@@ -6,14 +6,15 @@ from pathlib import Path
 
 import pytest
 
-from qbracelet.claims import CongruenceClaim, default_catalog, resolve_selection
+from qbracelet.claims import CongruenceClaim, default_catalog, families, resolve_selection
 from qbracelet.generators import bracelet_definition_spec
-from qbracelet.rings import Mod
-from qbracelet.sources import bracelet_source, euler_source, parse_source
+from qbracelet.rings import EXACT, Mod
+from qbracelet.sources import bracelet_source, euler_source, parse_source, partition_source
 from qbracelet.verify import (
     RunConfig,
     SeriesCache,
     issue_report,
+    progression,
     reports_to_json,
     verify,
 )
@@ -64,8 +65,6 @@ def test_counterexample_is_recheckable():
 def test_guarded_claim_detects_vanishing_constant():
     # p(5n+4) ≡ 0 (mod 5) holds everywhere, so a nonzero guard on the n=0
     # coefficient must trip: the claim is true but its constant is 0 mod 5
-    from qbracelet.sources import partition_source
-
     claim = make_claim(
         claim_id="X-guard",
         source=partition_source(),
@@ -189,6 +188,20 @@ def test_nmax_override_applies_to_all_claims():
     assert report.truncation == 76
 
 
+def test_claim_default_n_max_is_used_as_given():
+    (report,) = verify([make_claim(default_n_max=0)])
+    assert report.n_checked == 0
+    assert report.truncation == 6
+
+
+def test_progression_allows_residue_past_step():
+    series = SeriesCache().get(partition_source(), EXACT, 9)
+    assert progression(series, 2, 3, 3) == [3, 7, 15, 30]  # p(3), p(5), p(7), p(9)
+    claim = families()["C10"].instantiate(p=17, a=1, i=16)  # residue 1425 > step 1156
+    (report,) = verify([claim])
+    assert (report.status, report.truncation) == ("pass", 3 * 1156 + 1425)
+
+
 def test_series_congruence_failure_reports_residual():
     # deliberately wrong sign on C14's right-hand side
     claims, _ = resolve_selection(["C14[p=5,r=1,a=1]"])
@@ -206,7 +219,8 @@ def test_series_congruence_failure_reports_residual():
     )
     (report,) = verify([bad])
     assert report.status == "fail"
-    assert report.counterexample["value"] != 0
+    # at n = 0 the sides are sign * 1 and -sign * 1, so the residual is 2 * sign
+    assert report.counterexample == {"n": 0, "value": (2 * good.rhs_sign) % 5}
 
 
 GOLDEN_VERIFY_ALL = (
