@@ -9,11 +9,8 @@ from .claims import (
     CongruenceClaim,
     InstantiationError,
     VacuousFamilyError,
-    builtin_claims,
     default_catalog,
     families,
-    instantiate,
-    required_truncation,
     resolve_selection,
 )
 from .generators import (

@@ -8,20 +8,22 @@ right side and the ring:
 * ``series``          the right side is a signed second series, mod M;
 * ``identity``        two exact series agree coefficientwise (no modulus).
 
-Infinite families (parameterized by primes, exponents, residue choices) are
-represented by :class:`ClaimFamily` objects.  A family's emitter states only
-the claim's fields; ``instantiate`` adds the id, ``params`` and ``imported``
-from the family and validates the parameter ranges strictly: out-of-range
-parameters raise :class:`InstantiationError`, while parameter sets that make
-the whole family empty (an allowed but contentless statement) raise
-:class:`VacuousFamilyError` so the harness can report them as vacuous.
+Every catalog entry is a :class:`ClaimFamily`.  A family without parameters
+(C1, C7, C8, C9) has one claim, whose id is the bare family id; C5, C6 and
+C20 accept only their tabulated parameter values.  A family's emitter states
+only the claim's fields; ``ClaimFamily.instantiate`` adds the id, ``params``
+and ``imported`` from the family and validates the parameter ranges
+strictly: out-of-range parameters raise :class:`InstantiationError`, while
+parameter sets that make the whole family empty (an allowed but contentless
+statement) raise :class:`VacuousFamilyError` so the harness can report them
+as vacuous.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable
 
 from .oracles import is_prime, legendre_symbol
 from .products import ProductSpec
@@ -78,10 +80,6 @@ class CongruenceClaim:
         if min(self.residue, self.rhs_residue, self.start_n, self.default_n_max) < 0:
             raise ValueError(f"{self.claim_id}: offsets and n bounds must be >= 0")
 
-    @property
-    def progression(self) -> tuple[int, int]:
-        return (self.step, self.residue)
-
     def params_dict(self) -> dict[str, int]:
         return dict(self.params)
 
@@ -103,11 +101,6 @@ class CongruenceClaim:
         return f"{self.source.symbol()} = {self.rhs_source.symbol()}"
 
 
-def required_truncation(claim: CongruenceClaim, n_max: int) -> int:
-    """Series order needed to check the claim for all n <= n_max."""
-    return claim.step * n_max + claim.residue
-
-
 def _check(cond: bool, message: str) -> None:
     if not cond:
         raise InstantiationError(message)
@@ -120,27 +113,35 @@ def _exact_div(num: int, den: int, what: str) -> int:
 
 
 def _require_prime(p: int, minimum: int = 5) -> None:
-    _check(p >= minimum and is_prime(p), f"p must be a prime >= {minimum}, got {p}")
+    try:
+        prime = p >= minimum and is_prime(p)
+    except ValueError as exc:  # beyond the exact range of the primality test
+        raise InstantiationError(f"p = {p}: {exc}") from None
+    _check(prime, f"p must be a prime >= {minimum}, got {p}")
 
 
 @dataclass(frozen=True)
 class ClaimFamily:
     family_id: str
     param_names: tuple[str, ...]
-    summary: str
     emit: Callable[..., dict] = field(repr=False)  # parameters -> claim fields
     default_grid: tuple[tuple[int, ...], ...] = ()
     imported: bool = False
 
     def claim_id(self, **params: int) -> str:
+        if not self.param_names:
+            return self.family_id
         inner = ",".join(f"{name}={params[name]}" for name in self.param_names)
         return f"{self.family_id}[{inner}]"
 
     def instantiate(self, **params: int) -> CongruenceClaim:
         if set(params) != set(self.param_names):
+            takes = (
+                f"parameters {self.param_names}" if self.param_names
+                else "no parameters"
+            )
             raise InstantiationError(
-                f"{self.family_id} takes parameters {self.param_names}, "
-                f"got {tuple(sorted(params))}"
+                f"{self.family_id} takes {takes}, got {tuple(sorted(params))}"
             )
         return CongruenceClaim(
             self.claim_id(**params),
@@ -156,12 +157,14 @@ class ClaimFamily:
         ]
 
 
-def instantiate(family: ClaimFamily, params: Mapping[str, int]) -> CongruenceClaim:
-    """Instantiate a family at concrete parameters (strict validation)."""
-    return family.instantiate(**dict(params))
-
-
 # --- family emitters -------------------------------------------------------
+
+def _emit_c1() -> dict:
+    return dict(
+        kind="vanishing", source=broken_diamond_source(1), step=2, residue=1,
+        modulus=3, default_n_max=150,
+    )
+
 
 def _emit_c2(p: int, r: int) -> dict:
     _require_prime(p, 2)
@@ -194,6 +197,46 @@ def _emit_c4(m: int, l: int) -> dict:
     _check(k >= 3, f"k = 2^m l must be >= 3, got {k}")
     return dict(
         kind="vanishing", source=bracelet_source(k), step=2, residue=1, modulus=2**m
+    )
+
+
+_C5_RESIDUES = {5: 7, 7: 11, 11: 21}
+
+
+def _emit_c5(k: int) -> dict:
+    _check(k in _C5_RESIDUES, f"k must be 5, 7 or 11, got {k}")
+    return dict(
+        kind="vanishing", source=bracelet_source(k), step=2 * k,
+        residue=_C5_RESIDUES[k], modulus=k * k, default_n_max=100,
+    )
+
+
+def _emit_c6(B: int) -> dict:
+    _check(B in (6, 8), f"B must be 6 or 8, got {B}")
+    return dict(
+        kind="vanishing", source=bracelet_source(5), step=10, residue=B, modulus=2,
+        default_n_max=500,
+    )
+
+
+def _emit_c7() -> dict:
+    return dict(
+        kind="series", source=bracelet_source(5), step=10, residue=2, modulus=2,
+        rhs_source=lregular_source(5), default_n_max=500,
+    )
+
+
+def _emit_c8() -> dict:
+    return dict(
+        kind="series", source=lregular_source(5), step=2, residue=0, modulus=2,
+        rhs_source=product_source(ProductSpec.of((-1, 2, 2, 1))), default_n_max=500,
+    )
+
+
+def _emit_c9() -> dict:
+    return dict(
+        kind="identity", source=euler_source(1), step=1, residue=0, modulus=None,
+        rhs_source=quintic_euler_source(), default_n_max=1000,
     )
 
 
@@ -362,137 +405,50 @@ def _emit_c19(p: int, a: int) -> dict:
     )
 
 
-_FAMILIES: dict[str, ClaimFamily] = {}
-
-for _fam in (
-    ClaimFamily(
-        "C2", ("p", "r"), "B_{p^r}(2n+1) ≡ 0 (mod p)", _emit_c2,
-        ((5, 1), (7, 1), (3, 2)), imported=True,
-    ),
-    ClaimFamily(
-        "C3", ("p", "m", "s"),
-        "B_{pm}(pn+s) ≡ 0 (mod p) when 12s+1 is a QNR mod p", _emit_c3,
-        ((5, 2, 1), (5, 2, 3)), imported=True,
-    ),
-    ClaimFamily(
-        "C4", ("m", "l"), "B_{2^m l}(2n+1) ≡ 0 (mod 2^m), l odd", _emit_c4,
-        ((2, 3),), imported=True,
-    ),
-    ClaimFamily(
-        "C10", ("p", "a", "i"),
-        "b_5(4 p^{2a} n + ((24i+7p)p^{2a-1}-1)/6) ≡ 0 (mod 2), (-10/p) = -1",
-        _emit_c10, ((17, 1, 1), (17, 1, 6)), imported=True,
-    ),
-    ClaimFamily(
-        "C11", ("v", "a"),
-        "b_5 vanishing along four progressions at powers of 5 (mod 2)",
-        _emit_c11,
-        ((1, 0), (2, 0), (3, 0), (4, 0), (1, 1), (2, 1)), imported=True,
-    ),
-    ClaimFamily(
-        "C12", ("p", "a", "i"),
-        "B_5(40 p^{2a} n + (5(24i+7p)p^{2a-1}+1)/3) ≡ 0 (mod 2), (-10/p) = -1",
-        _emit_c12, ((17, 1, 6),),
-    ),
-    ClaimFamily(
-        "C13", ("v", "a"),
-        "B_5 vanishing along four progressions at powers of 5 (mod 2)",
-        _emit_c13, ((1, 1), (2, 1), (3, 1), (4, 1)),
-    ),
-    ClaimFamily(
-        "C14", ("p", "r", "a"),
-        "Σ B_{p^r}(p^{2a-1}n + (p^{2a}-1)/12) q^n ≡ ±(q^{2p};q^{2p})/(q^{2E};q^{2E}) (mod p)",
-        _emit_c14, ((5, 1, 1), (5, 3, 1), (5, 3, 2)),
-    ),
-    ClaimFamily(
-        "C15", ("p", "r", "a", "i"),
-        "B_{p^r}(p^{2a}n + ((12i+p)p^{2a-1}-1)/12) ≡ 0 (mod p)",
-        _emit_c15, ((5, 2, 1, 1), (5, 2, 1, 2), (5, 2, 1, 3), (5, 2, 1, 4)),
-    ),
-    ClaimFamily(
-        "C16", ("p", "r", "a", "j"),
-        "B_{p^r}(p^{2a+1}n + ((12j+1)p^{2a}-1)/12) ≡ 0 (mod p), 12j+1 a QNR",
-        _emit_c16, ((5, 3, 1, 1), (5, 3, 1, 3)),
-    ),
-    ClaimFamily(
-        "C17", ("p", "a", "v"),
-        "Σ B_{p^{2a-1}}(2p^{2a-1}n + (p^{2a}-1)/12) q^n ≡ ±b_p / ±(q^p;q^p)Σp(n)q^n (mod p)",
-        _emit_c17, ((5, 1, 1), (5, 1, 2)),
-    ),
-    ClaimFamily(
-        "C18", ("p", "a"),
-        "B_{p^{2a-1}}(2p^{2a}n + (c_p p^{2a-1}-1)/12) ≡ 0 (mod p), p in {5,7,11}",
-        _emit_c18, ((5, 1), (7, 1), (11, 1)),
-    ),
-    ClaimFamily(
-        "C19", ("p", "a"),
-        "B_{p^{2a}}(p^{2a-1}n + (p^{2a}-1)/12) ≡ 0 (mod p) for n >= 1",
-        _emit_c19, ((5, 1),),
-    ),
-):
-    _FAMILIES[_fam.family_id] = _fam
+def _emit_c20(m: int) -> dict:
+    _check(m in (5, 7, 11), f"m must be 5, 7 or 11, got {m}")
+    # Ramanujan's congruences p(mn + 24^{-1} mod m) ≡ 0 (mod m)
+    return dict(
+        kind="vanishing", source=partition_source(), step=m, residue=pow(24, -1, m),
+        modulus=m, default_n_max=150,
+    )
 
 
-def _fixed_claims() -> list[CongruenceClaim]:
-    claims = [
-        CongruenceClaim(
-            "C1", "vanishing", broken_diamond_source(1), 2, 1, 3,
-            default_n_max=150, imported=True,
+_FAMILIES: dict[str, ClaimFamily] = {
+    fam.family_id: fam
+    for fam in (
+        ClaimFamily("C1", (), _emit_c1, ((),), imported=True),
+        ClaimFamily("C2", ("p", "r"), _emit_c2, ((5, 1), (7, 1), (3, 2)), imported=True),
+        ClaimFamily(
+            "C3", ("p", "m", "s"), _emit_c3, ((5, 2, 1), (5, 2, 3)), imported=True
         ),
-        CongruenceClaim(
-            "C5[k=5]", "vanishing", bracelet_source(5), 10, 7, 25,
-            default_n_max=100, imported=True, params=(("k", 5),),
+        ClaimFamily("C4", ("m", "l"), _emit_c4, ((2, 3),), imported=True),
+        ClaimFamily("C5", ("k",), _emit_c5, ((5,), (7,), (11,)), imported=True),
+        ClaimFamily("C6", ("B",), _emit_c6, ((6,), (8,))),
+        ClaimFamily("C7", (), _emit_c7, ((),)),
+        ClaimFamily("C8", (), _emit_c8, ((),)),
+        ClaimFamily("C9", (), _emit_c9, ((),)),
+        ClaimFamily(
+            "C10", ("p", "a", "i"), _emit_c10, ((17, 1, 1), (17, 1, 6)), imported=True
         ),
-        CongruenceClaim(
-            "C5[k=7]", "vanishing", bracelet_source(7), 14, 11, 49,
-            default_n_max=100, imported=True, params=(("k", 7),),
+        ClaimFamily(
+            "C11", ("v", "a"), _emit_c11,
+            ((1, 0), (2, 0), (3, 0), (4, 0), (1, 1), (2, 1)), imported=True,
         ),
-        CongruenceClaim(
-            "C5[k=11]", "vanishing", bracelet_source(11), 22, 21, 121,
-            default_n_max=100, imported=True, params=(("k", 11),),
+        ClaimFamily("C12", ("p", "a", "i"), _emit_c12, ((17, 1, 6),)),
+        ClaimFamily("C13", ("v", "a"), _emit_c13, ((1, 1), (2, 1), (3, 1), (4, 1))),
+        ClaimFamily("C14", ("p", "r", "a"), _emit_c14, ((5, 1, 1), (5, 3, 1), (5, 3, 2))),
+        ClaimFamily(
+            "C15", ("p", "r", "a", "i"), _emit_c15,
+            ((5, 2, 1, 1), (5, 2, 1, 2), (5, 2, 1, 3), (5, 2, 1, 4)),
         ),
-        CongruenceClaim(
-            "C6[B=6]", "vanishing", bracelet_source(5), 10, 6, 2,
-            default_n_max=500, params=(("B", 6),),
-        ),
-        CongruenceClaim(
-            "C6[B=8]", "vanishing", bracelet_source(5), 10, 8, 2,
-            default_n_max=500, params=(("B", 8),),
-        ),
-        CongruenceClaim(
-            "C7", "series", bracelet_source(5), 10, 2, 2,
-            rhs_source=lregular_source(5), default_n_max=500,
-        ),
-        CongruenceClaim(
-            "C8", "series", lregular_source(5), 2, 0, 2,
-            rhs_source=product_source(ProductSpec.of((-1, 2, 2, 1))),
-            default_n_max=500,
-        ),
-        CongruenceClaim(
-            "C9", "identity", euler_source(1), 1, 0, None,
-            rhs_source=quintic_euler_source(), default_n_max=1000,
-        ),
-        CongruenceClaim(
-            "C20[m=5]", "vanishing", partition_source(), 5, 4, 5,
-            default_n_max=150, imported=True, params=(("m", 5),),
-        ),
-        CongruenceClaim(
-            "C20[m=7]", "vanishing", partition_source(), 7, 5, 7,
-            default_n_max=150, imported=True, params=(("m", 7),),
-        ),
-        CongruenceClaim(
-            "C20[m=11]", "vanishing", partition_source(), 11, 6, 11,
-            default_n_max=150, imported=True, params=(("m", 11),),
-        ),
-    ]
-    return claims
-
-
-def builtin_claims() -> list[CongruenceClaim | ClaimFamily]:
-    """The fixed catalog: concrete claims plus parameterized families."""
-    entries: list[CongruenceClaim | ClaimFamily] = list(_fixed_claims())
-    entries.extend(_FAMILIES.values())
-    return entries
+        ClaimFamily("C16", ("p", "r", "a", "j"), _emit_c16, ((5, 3, 1, 1), (5, 3, 1, 3))),
+        ClaimFamily("C17", ("p", "a", "v"), _emit_c17, ((5, 1, 1), (5, 1, 2))),
+        ClaimFamily("C18", ("p", "a"), _emit_c18, ((5, 1), (7, 1), (11, 1))),
+        ClaimFamily("C19", ("p", "a"), _emit_c19, ((5, 1),)),
+        ClaimFamily("C20", ("m",), _emit_c20, ((5,), (7,), (11,)), imported=True),
+    )
+}
 
 
 def families() -> dict[str, ClaimFamily]:
@@ -500,10 +456,8 @@ def families() -> dict[str, ClaimFamily]:
 
 
 def default_catalog() -> list[CongruenceClaim]:
-    """All fixed claims plus the default instances of every family."""
-    claims = _fixed_claims()
-    for fam in _FAMILIES.values():
-        claims.extend(fam.default_instances())
+    """The default instances of every family, in claim-id order."""
+    claims = [c for fam in _FAMILIES.values() for c in fam.default_instances()]
     return sorted(claims, key=claim_sort_key)
 
 
@@ -533,7 +487,6 @@ def resolve_selection(
     invalid parameters become :class:`SelectionIssue` entries instead of
     aborting the whole selection.
     """
-    fixed = {c.claim_id: c for c in _fixed_claims()}
     claims: list[CongruenceClaim] = []
     issues: list[SelectionIssue] = []
     seen: set[str] = set()
@@ -550,24 +503,12 @@ def resolve_selection(
             issues.append(SelectionIssue(text, "error", f"unparseable claim id {text!r}"))
             continue
         base, inner = m.group(1), m.group(2)
-        if inner is None:
-            matched = False
-            if base in _FAMILIES:
-                matched = True
-                for claim in _FAMILIES[base].default_instances():
-                    add(claim)
-            for cid, claim in fixed.items():
-                if cid == base or cid.startswith(base + "["):
-                    matched = True
-                    add(claim)
-            if not matched:
-                issues.append(SelectionIssue(text, "error", f"unknown claim id {base!r}"))
-            continue
-        if text in fixed:
-            add(fixed[text])
-            continue
         if base not in _FAMILIES:
-            issues.append(SelectionIssue(text, "error", f"unknown claim family {base!r}"))
+            issues.append(SelectionIssue(text, "error", f"unknown claim id {base!r}"))
+            continue
+        if inner is None:
+            for claim in _FAMILIES[base].default_instances():
+                add(claim)
             continue
         try:
             pairs = [piece.partition("=") for piece in inner.split(",")]

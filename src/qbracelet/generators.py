@@ -54,7 +54,7 @@ from functools import reduce
 from math import gcd
 from operator import add, mul, sub
 
-from .oracles import is_prime
+from .oracles import MR_EXACT_BELOW, is_prime
 from .products import ProductSpec, product_series
 from .rings import EXACT, CoefficientRing, Mod
 from .series import TruncatedSeries
@@ -186,9 +186,11 @@ def eta_quotient(
     p = ring.modulus
     # the split changes nothing once p exceeds every exponent, which also
     # keeps the primality test away from large moduli; mod 2 the bitset
-    # route reads the binary digits of each exponent itself
+    # route reads the binary digits of each exponent itself.  Past the exact
+    # range of is_prime the split is skipped: it is only a shortcut, and the
+    # Newton route below holds for any modulus
     top = max(map(abs, exponents.values()), default=0)
-    if p is not None and 2 < p <= top and is_prime(p):
+    if p is not None and 2 < p <= top and p < MR_EXACT_BELOW and is_prime(p):
         exponents = _frobenius_split(exponents, p)
     live = {t: e for t, e in exponents.items() if e and t <= n}
     if ring.is_exact:

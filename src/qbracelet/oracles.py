@@ -12,19 +12,34 @@ from functools import lru_cache
 ENUMERATION_LIMIT = 60
 
 
+# Miller-Rabin over the primes up to 41 as bases has no strong pseudoprime
+# below this bound (Sorenson and Webster, 2017), so the test is exact there
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MR_EXACT_BELOW = 3_317_044_064_679_887_385_961_981
+
+
 def is_prime(n: int) -> bool:
-    """Trial division; intended for the small primes used in claims."""
+    """Deterministic Miller-Rabin; raises ValueError from ``MR_EXACT_BELOW`` on."""
+    if n >= MR_EXACT_BELOW:
+        raise ValueError(f"primality is only decided below {MR_EXACT_BELOW}")
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for a in _MR_BASES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 

@@ -3,32 +3,30 @@
 import pytest
 
 from qbracelet.claims import (
-    ClaimFamily,
     CongruenceClaim,
     InstantiationError,
+    SelectionIssue,
     VacuousFamilyError,
-    builtin_claims,
     claim_sort_key,
     default_catalog,
     families,
-    instantiate,
-    required_truncation,
     resolve_selection,
 )
 from qbracelet.sources import euler_source, partition_source
+from qbracelet.verify import RunConfig, verify
 
 
 def test_builtin_catalog_shape():
-    entries = builtin_claims()
-    fixed = [e for e in entries if isinstance(e, CongruenceClaim)]
-    fams = [e for e in entries if isinstance(e, ClaimFamily)]
-    assert {f.family_id for f in fams} == {
-        "C2", "C3", "C4", "C10", "C11", "C12", "C13", "C14", "C15", "C16",
-        "C17", "C18", "C19",
-    }
-    fixed_ids = {c.claim_id for c in fixed}
+    fams = families()
+    assert list(fams) == [f"C{i}" for i in range(1, 21)]
+    assert all(fam.family_id == fid for fid, fam in fams.items())
+    ids = {c.claim_id for c in default_catalog()}
+    # families without parameters have one claim under the bare family id
+    for fid in ("C1", "C7", "C8", "C9"):
+        assert fams[fid].param_names == ()
+        assert [c.claim_id for c in fams[fid].default_instances()] == [fid]
     assert {"C1", "C7", "C8", "C9", "C6[B=6]", "C6[B=8]", "C5[k=5]",
-            "C20[m=11]"} <= fixed_ids
+            "C20[m=11]"} <= ids
 
 
 def test_catalog_invariants():
@@ -54,14 +52,14 @@ def test_instantiate_c15_example():
     claim = families()["C15"].instantiate(p=5, r=2, a=1, i=1)
     assert claim.claim_id == "C15[p=5,r=2,a=1,i=1]"
     assert claim.source.key() == "bracelet:25"
-    assert claim.progression == (25, 7)
+    assert (claim.step, claim.residue) == (25, 7)
     assert claim.modulus == 5
 
 
 def test_instantiate_c16_example():
     claim = families()["C16"].instantiate(p=5, r=3, a=1, j=1)
     assert claim.source.key() == "bracelet:125"
-    assert claim.progression == (125, 27)
+    assert (claim.step, claim.residue) == (125, 27)
     assert claim.modulus == 5
     # 12*2+1 = 25 is 0 mod 5, not a QNR
     with pytest.raises(InstantiationError):
@@ -83,9 +81,9 @@ def test_instantiate_c15_vacuous_r1_but_range_error_otherwise():
 
 
 def test_instantiate_c14_example():
-    claim = instantiate(families()["C14"], {"p": 5, "r": 1, "a": 1})
+    claim = families()["C14"].instantiate(p=5, r=1, a=1)
     assert claim.kind == "series"
-    assert claim.progression == (5, 2)
+    assert (claim.step, claim.residue) == (5, 2)
     assert claim.rhs_sign == -1  # epsilon_5 = -1
     assert claim.rhs_source.key() == "product:-1,10,10,1;-1,2,2,-1"
     assert claim.claim_id == "C14[p=5,r=1,a=1]"
@@ -105,7 +103,7 @@ def test_instantiate_c14_exponent_bookkeeping():
 
 def test_instantiate_c12_paper_instance():
     claim = families()["C12"].instantiate(p=17, a=1, i=6)
-    assert claim.progression == (11560, 7452)
+    assert (claim.step, claim.residue) == (11560, 7452)
     assert claim.modulus == 2
     # p = 13 has (-10/13) = +1, so the family does not apply
     with pytest.raises(InstantiationError):
@@ -114,7 +112,7 @@ def test_instantiate_c12_paper_instance():
 
 def test_instantiate_c18():
     claim = families()["C18"].instantiate(p=7, a=1)
-    assert claim.progression == (98, 74)
+    assert (claim.step, claim.residue) == (98, 74)
     assert claim.modulus == 7
     with pytest.raises(InstantiationError):
         families()["C18"].instantiate(p=13, a=1)
@@ -122,7 +120,7 @@ def test_instantiate_c18():
 
 def test_instantiate_c19_guard():
     claim = families()["C19"].instantiate(p=5, a=1)
-    assert claim.progression == (5, 2)
+    assert (claim.step, claim.residue) == (5, 2)
     assert claim.start_n == 1
     assert claim.guard_nonzero
 
@@ -151,12 +149,14 @@ def test_large_parameters_can_push_residue_past_step():
 
 
 def test_required_truncation():
+    # the order a claim needs to be checked for n <= n_max is step*n_max+residue
     by_id = {c.claim_id: c for c in default_catalog()}
-    c6 = by_id["C6[B=6]"]
-    assert required_truncation(c6, 50) == 506
-    assert required_truncation(by_id["C20[m=5]"], 0) == 4
-    c12 = by_id["C12[p=17,a=1,i=6]"]
-    assert required_truncation(c12, 2) == 30572
+    for cid, n_max, order in (
+        ("C6[B=6]", 50, 506), ("C20[m=5]", 0, 4), ("C12[p=17,a=1,i=6]", 2, 30572),
+    ):
+        [report] = verify([by_id[cid]], RunConfig(n_max=n_max))
+        assert report.status == "pass"
+        assert report.truncation == order
 
 
 def test_resolve_selection():
@@ -177,6 +177,37 @@ def test_resolve_selection_reports_vacuous_and_errors():
     assert statuses["C99"] == "error"
     assert statuses["C15[p=4,r=2,a=1,i=1]"] == "error"
     assert statuses["garbage"] == "error"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("C6[B=7]", "B must be 6 or 8, got 7"),
+        ("C5[k=13]", "k must be 5, 7 or 11, got 13"),
+        ("C20[m=13]", "m must be 5, 7 or 11, got 13"),
+        ("C1[x=1]", "C1 takes no parameters, got ('x',)"),
+        ("C99[x=1]", "unknown claim id 'C99'"),
+    ],
+)
+def test_resolve_selection_names_what_a_family_accepts(text, message):
+    claims, issues = resolve_selection([text])
+    assert claims == []
+    assert issues == [SelectionIssue(text, "error", message)]
+
+
+def test_a_tabulated_instance_is_the_default_instance():
+    [bare_b6, _] = resolve_selection(["C6"])[0]
+    assert resolve_selection(["C6[B=6]"]) == ([bare_b6], [])
+    assert bare_b6 == families()["C6"].instantiate(B=6)
+    assert bare_b6.claim_id == "C6[B=6]"
+    assert bare_b6.params == (("B", 6),)
+
+
+def test_prime_parameters_beyond_the_primality_bound_are_rejected():
+    # 2^61 - 1 is within the exact range of the primality test; past it is an error
+    assert families()["C2"].instantiate(p=2**61 - 1, r=1).modulus == 2**61 - 1
+    with pytest.raises(InstantiationError, match="primality is only decided below"):
+        families()["C2"].instantiate(p=3_317_044_064_679_887_385_961_983, r=1)
 
 
 def test_resolve_selection_rejects_a_repeated_parameter():

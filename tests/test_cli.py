@@ -248,6 +248,15 @@ def test_search_trivial_step_is_empty(runner):
     assert "0 candidates" in result.output
 
 
+def test_verify_out_of_table_parameter_is_one_error_line(runner):
+    result = run(runner, "verify", "--claims", "C6[B=7]")
+    assert result.exit_code == 1
+    assert result.output.splitlines() == [
+        "C6[B=7]: ERROR (B must be 6 or 8, got 7)",
+        "-- 1 claims: 1 error",
+    ]
+
+
 RENDERED_TEXT = """\
 X1: p(5n+4) ≡ 0 (mod 5): PASS n≤1
 X2: Σ (q;q)oo(n) q^n ≡ -(q;q)oo (mod 2): PASS n≤10

@@ -28,6 +28,7 @@ from qbracelet.generators import (
     expand_product,
 )
 from qbracelet.oracles import (
+    MR_EXACT_BELOW,
     count_l_regular,
     count_partitions,
     is_prime,
@@ -186,6 +187,13 @@ def test_eta_quotient_frobenius_collapse():
     assert gen_bracelet(125, n, Mod(5)) == eta_quotient({2: 1, 250: -1}, n, Mod(5))
     assert gen_bracelet(11, n, Mod(11)) == eta_quotient({2: 1, 22: -1}, n, Mod(11))
     assert eta_quotient({1: 5, 5: -1}, n, Mod(5)) == TruncatedSeries.one(Mod(5), n)
+
+
+def test_eta_quotient_modulus_past_the_primality_bound():
+    # no Frobenius split where primality is undecided; Newton still holds
+    m = MR_EXACT_BELOW + 2
+    exact = gen_bracelet(m + 7, 8).coeffs
+    assert gen_bracelet(m + 7, 8, Mod(m)).coeffs == [c % m for c in exact]
 
 
 def test_eta_quotient_edge_cases():

@@ -4,6 +4,7 @@ quadratic-residue classification."""
 import pytest
 
 from qbracelet.oracles import (
+    MR_EXACT_BELOW,
     count_l_regular,
     count_partitions,
     is_prime,
@@ -97,3 +98,16 @@ def test_is_prime():
     ]
     assert [n for n in range(100) if is_prime(n)] == primes_below_100
     assert not is_prime(10007 * 10007)
+    assert [n for n in range(10**5) if is_prime(n)] == [
+        n for n in range(2, 10**5) if all(n % d for d in range(2, int(n**0.5) + 1))
+    ]
+
+
+def test_is_prime_large_and_at_the_bound():
+    assert is_prime(2**61 - 1)
+    assert is_prime(10**14 + 31)
+    # strong pseudoprimes to the primes up to 23 and up to 37 respectively
+    assert not is_prime(3825123056546413051)
+    assert not is_prime(318665857834031151167461)
+    with pytest.raises(ValueError, match="primality is only decided below"):
+        is_prime(MR_EXACT_BELOW)
