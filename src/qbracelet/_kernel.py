@@ -76,30 +76,29 @@ def conv_mod(x: list[int], y: list[int], n_out: int, m: int) -> list[int]:
     return [c % m for c in _unpack(prod, lane, count)]
 
 
+def _repeat(value: int, lane: int, count: int) -> int:
+    """The packed integer with ``value`` in each of ``count`` lanes."""
+    return int.from_bytes(value.to_bytes(lane, "little") * count, "little")
+
+
 def conv_exact(x: list[int], y: list[int], n_out: int) -> list[int]:
     """Coefficients 0..n_out of x*y over the exact integers.
 
-    Signed inputs are split into nonnegative parts (four packed products);
-    the all-nonnegative case takes the single-product fast path.
+    One packed product for any signs.  Take b at least every |x_i|, |y_j|
+    and |output coefficient|.  Each side is packed with b added to every
+    lane, and b in each of its lanes is taken off the packed integer again,
+    which leaves sum x_i z^i (z the lane base; the integer may be negative).
+    Adding b to every output lane before unpacking puts each lane in
+    [0, 2b]; b is taken off again after.
     """
     x = x[: n_out + 1]
     y = y[: n_out + 1]
     count = n_out + 1
-    mx = max(abs(c) for c in x)
-    my = max(abs(c) for c in y)
-    if mx == 0 or my == 0:
-        return [0] * count
-    terms = min(len(x), len(y))
-    # Factor 2: lanes of the combined products P = xp*yp + xn*yn (and Q).
-    lane = _lane_bytes(2 * mx * my * terms + 1)
-    if min(x) >= 0 and min(y) >= 0:
-        return _unpack(_pack(x, lane) * _pack(y, lane), lane, count)
-    xp = [c if c > 0 else 0 for c in x]
-    xn = [-c if c < 0 else 0 for c in x]
-    yp = [c if c > 0 else 0 for c in y]
-    yn = [-c if c < 0 else 0 for c in y]
-    pxp, pxn = _pack(xp, lane), _pack(xn, lane)
-    pyp, pyn = _pack(yp, lane), _pack(yn, lane)
-    pos = _unpack(pxp * pyp + pxn * pyn, lane, count)
-    neg = _unpack(pxp * pyn + pxn * pyp, lane, count)
-    return [a - b for a, b in zip(pos, neg)]
+    mx = max(map(abs, x))
+    my = max(map(abs, y))
+    bias = max(mx, my, mx * my * min(len(x), len(y)))
+    lane = _lane_bytes(2 * bias + 1)
+    px = _pack([c + bias for c in x], lane) - _repeat(bias, lane, len(x))
+    py = _pack([c + bias for c in y], lane) - _repeat(bias, lane, len(y))
+    lanes = _unpack(px * py + _repeat(bias, lane, count), lane, count)
+    return [c - bias for c in lanes]

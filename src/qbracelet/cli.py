@@ -193,12 +193,12 @@ def verify_cmd(
     claim_ids: tuple[str, ...], run_all: bool, nmax: int | None, fmt: str
 ) -> None:
     """Verify congruence claims; exit code 0 iff nothing failed or errored."""
-    if not run_all and not claim_ids:
-        raise click.UsageError("select claims with --claims or pass --all")
     ids: list[str] = []
     for chunk in claim_ids:
         # split on commas that separate ids, not the ones inside [...]
         ids.extend(part for part in re.split(r",(?![^\[]*\])", chunk) if part)
+    if not run_all and not ids:
+        raise click.UsageError("select claims with --claims or pass --all")
     if run_all:
         selected = default_catalog()
         issues = []

@@ -184,13 +184,11 @@ def eta_quotient(
     if any(t < 1 for t in exponents):
         raise ValueError("eta-quotient steps must be >= 1")
     p = ring.modulus
-    # the split changes nothing once p exceeds every exponent, which also
-    # keeps the primality test away from large moduli; mod 2 the bitset
-    # route reads the binary digits of each exponent itself.  Past the exact
-    # range of is_prime the split is skipped: it is only a shortcut, and the
-    # Newton route below holds for any modulus
-    top = max(map(abs, exponents.values()), default=0)
-    if p is not None and 2 < p <= top and p < MR_EXACT_BELOW and is_prime(p):
+    # the split leaves the map as it is once p exceeds every |e_t|; mod 2
+    # the bitset route reads the binary digits of each exponent itself.
+    # Past the exact range of is_prime the split is skipped: it is only a
+    # shortcut, and the Newton route below holds for any modulus
+    if p is not None and 2 < p < MR_EXACT_BELOW and is_prime(p):
         exponents = _frobenius_split(exponents, p)
     live = {t: e for t, e in exponents.items() if e and t <= n}
     if ring.is_exact:

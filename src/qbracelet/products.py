@@ -4,9 +4,10 @@ A :class:`PochhammerFactor` denotes (sign q^a; q^b)_inf ^ e, i.e. the
 infinite product prod_{j>=0} (1 + sign * q^{a+jb}) raised to an integer
 power; a :class:`ProductSpec` is a finite list of such factors, and
 :meth:`ProductSpec.normal_form` is its spelling-independent identity.
-Expansion here is definitional: one binomial 1 + sign*q^m at a time, which
+Expansion here is definitional: each factor is multiplied out, or divided
+out, one binomial 1 + sign*q^m at a time, with no series inversion.  That
 keeps this code an independent cross-check for the eta-quotient expander in
-:mod:`qbracelet.generators`.
+:mod:`qbracelet.generators`, whose modular route inverts by Newton iteration.
 """
 
 from __future__ import annotations
@@ -143,10 +144,29 @@ def pochhammer_base(
     return TruncatedSeries(ring, cs, normalize=False)
 
 
+def pochhammer_inverse(
+    sign: int, offset: int, step: int, n: int, ring: CoefficientRing = EXACT
+) -> TruncatedSeries:
+    """Expand 1 / (sign q^offset; q^step)_inf to order n, dividing by one
+    binomial 1 + sign q^m at a time: f_i = c_i - sign f_{i-m}, bottom-up."""
+    op = sub if sign > 0 else add
+    mod = ring.modulus
+    cs = [0] * (n + 1)
+    cs[0] = 1
+    for m in range(offset, n + 1, step):
+        # m coefficients per slice, each reading the block already divided
+        for j in range(m, n + 1, m):
+            cs[j : j + m] = map(op, cs[j : j + m], cs[j - m : j])
+        if mod is not None:
+            cs[m:] = [c % mod for c in cs[m:]]
+    return TruncatedSeries(ring, cs, normalize=False)
+
+
 def pochhammer_series(
     factor: PochhammerFactor, n: int, ring: CoefficientRing = EXACT
 ) -> TruncatedSeries:
-    """Expansion of a single factor, negative exponents via series inversion."""
+    """Expansion of a single factor; negative exponents divide by its
+    binomials instead of multiplying."""
     return product_series(ProductSpec((factor,)), n, ring)
 
 
@@ -155,18 +175,17 @@ def product_series(
 ) -> TruncatedSeries:
     """Expansion of a full product spec to order n.
 
-    Positive-exponent factors are multiplied into a numerator, negative ones
-    into a denominator which is inverted once at the end; each side starts
-    from its first factor, so nothing is multiplied by one.
+    Each factor is expanded by its own binomial chain, multiplied in when
+    its exponent is positive and divided out when negative, raised to |e|,
+    and the parts are multiplied once; nothing is multiplied by one.
     """
     if n < 0:
         raise ValueError("order must be >= 0")
-    num: list[TruncatedSeries] = []
-    den: list[TruncatedSeries] = []
-    for f in spec.factors:
-        if f.exponent:
-            base = pochhammer_base(f.sign, f.offset, f.step, n, ring)
-            (num if f.exponent > 0 else den).append(base.pow(abs(f.exponent)))
-    if den:
-        num.append(reduce(mul, den).invert())
-    return reduce(mul, num) if num else TruncatedSeries.one(ring, n)
+    parts = [
+        (pochhammer_base if f.exponent > 0 else pochhammer_inverse)(
+            f.sign, f.offset, f.step, n, ring
+        ).pow(abs(f.exponent))
+        for f in spec.factors
+        if f.exponent
+    ]
+    return reduce(mul, parts) if parts else TruncatedSeries.one(ring, n)

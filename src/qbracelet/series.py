@@ -193,7 +193,7 @@ class TruncatedSeries:
             raise ValueError("shift must be >= 0")
         if t == 0:
             return self
-        cs = [0] * t + self.coeffs[: self.order + 1 - t]
+        cs = ([0] * t + self.coeffs)[: self.order + 1]
         return TruncatedSeries(self.ring, cs, normalize=False)
 
     def reduce_mod(self, m: int) -> "TruncatedSeries":

@@ -192,6 +192,16 @@ def test_verify_requires_selection(runner):
     assert result.exit_code != 0
 
 
+@pytest.mark.parametrize("claims", [("",), (",",), ("", ","), (",,", "")])
+def test_verify_empty_selection_is_a_usage_error(runner, claims):
+    # an empty id list checks nothing, so it must not pass
+    neither = run(runner, "verify")
+    result = run(runner, "verify", *(a for c in claims for a in ("--claims", c)))
+    assert result.exit_code == neither.exit_code == 2
+    assert result.output == neither.output
+    assert "Error: select claims with --claims or pass --all" in result.output
+
+
 @pytest.mark.parametrize(
     "args",
     [

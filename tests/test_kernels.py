@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qbracelet import _kernel
 
@@ -52,3 +54,20 @@ def test_conv_exact_huge_coefficients():
 def test_conv_zero_and_scalar():
     assert _kernel.conv_exact([0, 0], [0], 1) == [0, 0]
     assert _kernel.conv_mod([1], [1], 4, 7) == [1, 0, 0, 0, 0]
+
+
+@st.composite
+def signed_sides(draw):
+    """Coefficient lists of 1 to 40 entries, each of up to ``bits`` bits,
+    ``bits`` from 0 (an all-zero side) to 200."""
+    bits = draw(st.integers(0, 200))
+    top = (1 << bits) - 1
+    return draw(st.lists(st.integers(-top, top), min_size=1, max_size=40))
+
+
+@settings(max_examples=300, deadline=None)
+@given(signed_sides(), signed_sides(), st.integers(0, 90))
+def test_conv_exact_matches_reference_hypothesis(x, y, n_out):
+    # n_out reaches past len(x) + len(y); lanes of 1, 2, 4 and 8 bytes and
+    # the wider byte path all occur across the drawn sizes
+    assert _kernel.conv_exact(x, y, n_out) == conv_reference(x, y, n_out)

@@ -7,12 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qbracelet import EXACT, Mod, TruncatedSeries
-from qbracelet.generators import bracelet_definition_spec
+from qbracelet.generators import bracelet_definition_spec, euler_quintic_rhs
 from qbracelet.oracles import count_partitions
 from qbracelet.products import (
     PochhammerFactor,
     ProductSpec,
     pochhammer_base,
+    pochhammer_inverse,
     pochhammer_series,
     product_series,
 )
@@ -91,6 +92,41 @@ def test_modular_expansion_matches_reduction():
 def test_pochhammer_base_modular():
     base = pochhammer_base(-1, 1, 1, 12, Mod(2))
     assert base.coeffs == [c % 2 for c in PENTAGONAL_12]
+
+
+@pytest.mark.parametrize("modulus", [2, 5, 25, 12, None])
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("offset, step", [(1, 1), (1, 4), (3, 4), (5, 5), (2, 7)])
+def test_division_chain_inverts_binomial_chain(modulus, sign, offset, step):
+    ring = EXACT if modulus is None else Mod(modulus)
+    inverse = pochhammer_inverse(sign, offset, step, 60, ring)
+    assert inverse * pochhammer_base(sign, offset, step, 60, ring) == TruncatedSeries.one(
+        ring, 60
+    )
+    exact = pochhammer_inverse(sign, offset, step, 60)
+    assert inverse == (exact if modulus is None else exact.reduce_mod(modulus))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: product_series(ProductSpec.parse("1,1,4,-2"), 2000),
+        lambda: euler_quintic_rhs(1000),
+        lambda: product_series(ProductSpec.parse("-1,1,5,-3;1,2,5,1"), 600, Mod(25)),
+    ],
+    ids=["1,1,4,-2-exact-2000", "quintic_euler-exact-1000", "-1,1,5,-3;1,2,5,1-mod25-600"],
+)
+def test_product_series_never_inverts(monkeypatch, build):
+    calls = []
+    real = TruncatedSeries.invert
+
+    def counting(self):
+        calls.append(self.order)
+        return real(self)
+
+    monkeypatch.setattr(TruncatedSeries, "invert", counting)
+    build()
+    assert calls == []
 
 
 def test_spec_key_roundtrip():

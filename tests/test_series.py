@@ -167,6 +167,13 @@ def test_shift_monomial():
     assert x.shift(0) is x
 
 
+@pytest.mark.parametrize("order", [0, 1, 3])
+def test_shift_past_the_order_keeps_it(order):
+    x = TruncatedSeries(EXACT, range(1, order + 2))
+    for t in (order + 1, order + 2, 2 * (order + 1) + 1):
+        assert x.shift(t) == TruncatedSeries.zero(EXACT, order)
+
+
 def test_shift_geometric():
     geo = TruncatedSeries(EXACT, [1, -1] + [0] * 8).invert()
     assert geo.shift(2).coeffs == [0, 0] + [1] * 8
