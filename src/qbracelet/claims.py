@@ -1,8 +1,8 @@
 """Machine-checkable congruence claims and the built-in catalog.
 
 Every claim says that the progression ``lhs(A n + B)`` equals
-``sign * rhs(A' n + B')`` modulo M; the three kinds differ only in the
-right side and the ring:
+``sign * rhs(n)``, the whole right series, modulo M; the three kinds differ
+only in the right side and the ring:
 
 * ``vanishing``       no right side: the progression is 0 mod M;
 * ``series``          the right side is a signed second series, mod M;
@@ -11,12 +11,11 @@ right side and the ring:
 Every catalog entry is a :class:`ClaimFamily`.  A family without parameters
 (C1, C7, C8, C9) has one claim, whose id is the bare family id; C5, C6 and
 C20 accept only their tabulated parameter values.  A family's emitter states
-only the claim's fields; ``ClaimFamily.instantiate`` adds the id, ``params``
-and ``imported`` from the family and validates the parameter ranges
-strictly: out-of-range parameters raise :class:`InstantiationError`, while
-parameter sets that make the whole family empty (an allowed but contentless
-statement) raise :class:`VacuousFamilyError` so the harness can report them
-as vacuous.
+only the claim's fields; ``ClaimFamily.instantiate`` adds the id and
+``params`` and validates the parameter ranges strictly: out-of-range
+parameters raise :class:`InstantiationError`, while parameter sets that make
+the whole family empty (an allowed but contentless statement) raise
+:class:`VacuousFamilyError` so the harness can report them as vacuous.
 """
 
 from __future__ import annotations
@@ -57,13 +56,8 @@ class CongruenceClaim:
     residue: int
     modulus: int | None  # None only for identity claims
     rhs_source: SeriesSource | None = None
-    rhs_step: int = 1
-    rhs_residue: int = 0
     rhs_sign: int = 1
-    start_n: int = 0
-    guard_nonzero: bool = False
     default_n_max: int = 200
-    imported: bool = False
     params: tuple[tuple[str, int], ...] = ()
 
     def __post_init__(self) -> None:
@@ -75,10 +69,10 @@ class CongruenceClaim:
             raise ValueError(f"{self.claim_id}: only an identity claim has no modulus")
         if self.modulus is not None and self.modulus < 2:
             raise ValueError(f"{self.claim_id}: modulus must be >= 2, got {self.modulus}")
-        if min(self.step, self.rhs_step) < 1:
-            raise ValueError(f"{self.claim_id}: steps must be >= 1")
-        if min(self.residue, self.rhs_residue, self.start_n, self.default_n_max) < 0:
-            raise ValueError(f"{self.claim_id}: offsets and n bounds must be >= 0")
+        if self.step < 1:
+            raise ValueError(f"{self.claim_id}: step must be >= 1")
+        if min(self.residue, self.default_n_max) < 0:
+            raise ValueError(f"{self.claim_id}: residue and n bound must be >= 0")
 
     def params_dict(self) -> dict[str, int]:
         return dict(self.params)
@@ -94,9 +88,7 @@ class CongruenceClaim:
             if self.rhs_source.kind in ("product", "euler", "quintic_euler"):
                 rhs = f"{sign}{self.rhs_source.symbol()}"
             else:
-                ra, rb = self.rhs_step, self.rhs_residue
-                rarg = f"{ra}n+{rb}" if ra != 1 else (f"n+{rb}" if rb else "n")
-                rhs = f"{sign}Σ {self.rhs_source.symbol()}({rarg}) q^n"
+                rhs = f"{sign}Σ {self.rhs_source.symbol()}(n) q^n"
             return f"Σ {self.source.symbol()}({arg}) q^n ≡ {rhs} (mod {self.modulus})"
         return f"{self.source.symbol()} = {self.rhs_source.symbol()}"
 
@@ -126,7 +118,6 @@ class ClaimFamily:
     param_names: tuple[str, ...]
     emit: Callable[..., dict] = field(repr=False)  # parameters -> claim fields
     default_grid: tuple[tuple[int, ...], ...] = ()
-    imported: bool = False
 
     def claim_id(self, **params: int) -> str:
         if not self.param_names:
@@ -146,7 +137,6 @@ class ClaimFamily:
         return CongruenceClaim(
             self.claim_id(**params),
             **self.emit(**params),
-            imported=self.imported,
             params=tuple((name, params[name]) for name in self.param_names),
         )
 
@@ -396,12 +386,11 @@ def _emit_c19(p: int, a: int) -> dict:
     k = p ** (2 * a)
     step = p ** (2 * a - 1)
     residue = _exact_div(p ** (2 * a) - 1, 12, "C19 residue")
-    # valid only from n = 1 on: the n = 0 coefficient equals epsilon^a, so the
-    # claim also guards that it is nonzero mod p (a vacuous pass would hide a
-    # broken expansion)
+    # C14 at r = 2a: the right side (q^{2p};q^{2p})/(q^{2p};q^{2p}) is 1
     return dict(
-        kind="vanishing", source=bracelet_source(k), step=step, residue=residue,
-        modulus=p, start_n=1, guard_nonzero=True, default_n_max=300,
+        kind="series", source=bracelet_source(k), step=step, residue=residue,
+        modulus=p, rhs_source=product_source(ProductSpec()),
+        rhs_sign=PrimeContext(p).epsilon ** a, default_n_max=300,
     )
 
 
@@ -417,23 +406,19 @@ def _emit_c20(m: int) -> dict:
 _FAMILIES: dict[str, ClaimFamily] = {
     fam.family_id: fam
     for fam in (
-        ClaimFamily("C1", (), _emit_c1, ((),), imported=True),
-        ClaimFamily("C2", ("p", "r"), _emit_c2, ((5, 1), (7, 1), (3, 2)), imported=True),
-        ClaimFamily(
-            "C3", ("p", "m", "s"), _emit_c3, ((5, 2, 1), (5, 2, 3)), imported=True
-        ),
-        ClaimFamily("C4", ("m", "l"), _emit_c4, ((2, 3),), imported=True),
-        ClaimFamily("C5", ("k",), _emit_c5, ((5,), (7,), (11,)), imported=True),
+        ClaimFamily("C1", (), _emit_c1, ((),)),
+        ClaimFamily("C2", ("p", "r"), _emit_c2, ((5, 1), (7, 1), (3, 2))),
+        ClaimFamily("C3", ("p", "m", "s"), _emit_c3, ((5, 2, 1), (5, 2, 3))),
+        ClaimFamily("C4", ("m", "l"), _emit_c4, ((2, 3),)),
+        ClaimFamily("C5", ("k",), _emit_c5, ((5,), (7,), (11,))),
         ClaimFamily("C6", ("B",), _emit_c6, ((6,), (8,))),
         ClaimFamily("C7", (), _emit_c7, ((),)),
         ClaimFamily("C8", (), _emit_c8, ((),)),
         ClaimFamily("C9", (), _emit_c9, ((),)),
-        ClaimFamily(
-            "C10", ("p", "a", "i"), _emit_c10, ((17, 1, 1), (17, 1, 6)), imported=True
-        ),
+        ClaimFamily("C10", ("p", "a", "i"), _emit_c10, ((17, 1, 1), (17, 1, 6))),
         ClaimFamily(
             "C11", ("v", "a"), _emit_c11,
-            ((1, 0), (2, 0), (3, 0), (4, 0), (1, 1), (2, 1)), imported=True,
+            ((1, 0), (2, 0), (3, 0), (4, 0), (1, 1), (2, 1)),
         ),
         ClaimFamily("C12", ("p", "a", "i"), _emit_c12, ((17, 1, 6),)),
         ClaimFamily("C13", ("v", "a"), _emit_c13, ((1, 1), (2, 1), (3, 1), (4, 1))),
@@ -446,7 +431,7 @@ _FAMILIES: dict[str, ClaimFamily] = {
         ClaimFamily("C17", ("p", "a", "v"), _emit_c17, ((5, 1, 1), (5, 1, 2))),
         ClaimFamily("C18", ("p", "a"), _emit_c18, ((5, 1), (7, 1), (11, 1))),
         ClaimFamily("C19", ("p", "a"), _emit_c19, ((5, 1),)),
-        ClaimFamily("C20", ("m",), _emit_c20, ((5,), (7,), (11,)), imported=True),
+        ClaimFamily("C20", ("m",), _emit_c20, ((5,), (7,), (11,))),
     )
 }
 

@@ -140,8 +140,6 @@ def _verify_text(reports) -> None:
                 f"{r.claim_id}: {label}: FAIL at n={ce.get('n')} "
                 f"(value {ce.get('value')})"
             )
-            if r.message:
-                line += f" [{r.message}]"
         elif r.status == "vacuous":
             line = f"{r.claim_id}: VACUOUS ({r.message})"
         else:
@@ -197,8 +195,8 @@ def verify_cmd(
     for chunk in claim_ids:
         # split on commas that separate ids, not the ones inside [...]
         ids.extend(part for part in re.split(r",(?![^\[]*\])", chunk) if part)
-    if not run_all and not ids:
-        raise click.UsageError("select claims with --claims or pass --all")
+    if run_all and claim_ids or not run_all and not ids:
+        raise click.UsageError("select claims with --claims or pass --all, not both")
     if run_all:
         selected = default_catalog()
         issues = []

@@ -1,6 +1,6 @@
 """Verification engine: expands claim sources once per (source, ring) pair
 and checks every claim as one progression compared against a signed
-progression (all zeros for a vanishing claim).
+series (all zeros for a vanishing claim).
 
 Reports never abort the run; per-claim problems (order cap exceeded,
 non-invertible constant terms, ...) become ``error`` reports.  Every
@@ -151,7 +151,7 @@ def _sides(claim: CongruenceClaim, n_max: int) -> list[Side]:
     is vanishing, of the right side; each order reaches n = n_max."""
     sides = [(claim.source, claim.step, claim.residue)]
     if claim.kind != "vanishing":
-        sides.append((claim.rhs_source, claim.rhs_step, claim.rhs_residue))
+        sides.append((claim.rhs_source, 1, 0))
     return [(source, step, residue, step * n_max + residue)
             for source, step, residue in sides]
 
@@ -162,9 +162,9 @@ def _compare(
     ring: CoefficientRing,
     sides: list[Side],
     cache: SeriesCache,
-) -> tuple[str, dict[str, int] | None, str]:
-    """Check ``lhs(A n + B) == sign * rhs(...)`` for start_n <= n <= n_max; a
-    vanishing claim's right side is 0.  Returns (status, counterexample, message)."""
+) -> tuple[str, dict[str, int] | None]:
+    """Check ``lhs(A n + B) == sign * rhs(n)`` for 0 <= n <= n_max; a
+    vanishing claim's right side is 0.  Returns (status, counterexample)."""
     left, *rest = [
         progression(cache.get(source, ring, order), step, residue, n_max)
         for source, step, residue, order in sides
@@ -173,13 +173,10 @@ def _compare(
         right = [ring.normalize(claim.rhs_sign * c) for c in rest[0]]
     else:
         right = [0] * len(left)
-    if claim.guard_nonzero and left[0] == 0:
-        message = "guard violated: coefficient at n=0 is 0, expected a unit"
-        return "fail", {"n": 0, "value": 0}, message
-    for n in range(claim.start_n, n_max + 1):
+    for n in range(n_max + 1):
         if left[n] != right[n]:
-            return "fail", {"n": n, "value": ring.normalize(left[n] - right[n])}, ""
-    return "pass", None, ""
+            return "fail", {"n": n, "value": ring.normalize(left[n] - right[n])}
+    return "pass", None
 
 
 def issue_report(issue: SelectionIssue) -> VerificationReport:
@@ -234,9 +231,7 @@ def verify(
         status, counterexample = "error", None
         if not problem:
             try:
-                status, counterexample, problem = _compare(
-                    claim, n_max, ring, sides, cache
-                )
+                status, counterexample = _compare(claim, n_max, ring, sides, cache)
             except Exception as exc:
                 problem = f"{type(exc).__name__}: {exc}"
         elapsed = 0.0 if status == "error" else (time.perf_counter() - start) * 1000.0

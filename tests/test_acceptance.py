@@ -160,9 +160,9 @@ def test_criterion_07_mod_p_lemma_and_theorems():
         assert len(claims) == len(ids)
         reports = verify(claims)
         assert_all_pass(reports)
-        # C19's nonzero guard really ran: the n=0 coefficient is -1 mod 5
+        # C19's constant right side: the n=0 coefficient is epsilon_5 = -1 mod 5
         b25 = gen_bracelet(25, 2, Mod(5))
-        assert b25.coeffs[2] in (1, 4)
+        assert b25.coeffs[2] == 4
 
 
 def test_criterion_08_corollaries():

@@ -12,7 +12,9 @@ from qbracelet.claims import (
     families,
     resolve_selection,
 )
-from qbracelet.sources import euler_source, partition_source
+from qbracelet.products import ProductSpec
+from qbracelet.sources import euler_source, partition_source, product_source
+from qbracelet.theta import PrimeContext
 from qbracelet.verify import RunConfig, verify
 
 
@@ -37,15 +39,6 @@ def test_catalog_invariants():
         assert claim.modulus >= 2
         assert claim.step >= 1
         assert 0 <= claim.residue < claim.step
-
-
-def test_imported_tagging():
-    by_id = {c.claim_id: c for c in default_catalog()}
-    assert by_id["C1"].imported
-    assert by_id["C20[m=5]"].imported
-    assert by_id["C10[p=17,a=1,i=1]"].imported
-    assert not by_id["C6[B=6]"].imported
-    assert not by_id["C13[v=1,a=1]"].imported
 
 
 def test_instantiate_c15_example():
@@ -119,10 +112,15 @@ def test_instantiate_c18():
 
 
 def test_instantiate_c19_guard():
+    # C19 is C14 at r = 2a: its right side is the constant epsilon_p^a, so
+    # the n = 0 coefficient is checked as well as the vanishing ones
     claim = families()["C19"].instantiate(p=5, a=1)
     assert (claim.step, claim.residue) == (5, 2)
-    assert claim.start_n == 1
-    assert claim.guard_nonzero
+    assert claim.kind == "series"
+    assert claim.rhs_source == product_source(ProductSpec())
+    assert claim.rhs_sign == PrimeContext(5).epsilon == -1
+    assert families()["C19"].instantiate(p=5, a=2).rhs_sign == 1
+    assert families()["C19"].instantiate(p=11, a=1).rhs_sign == 1
 
 
 def test_instantiate_rejects_wrong_parameter_names():
@@ -229,16 +227,13 @@ def test_resolve_selection_rejects_a_repeated_parameter():
         {"kind": "identity", "rhs_source": euler_source(1)},
         {"kind": "series", "rhs_source": euler_source(1), "modulus": 0},
         {"step": 0},
-        {"kind": "series", "rhs_source": euler_source(1), "rhs_step": 0},
         {"residue": -1},
-        {"start_n": -1},
         {"default_n_max": -1},
     ],
     ids=[
         "unknown-kind", "series-without-rhs", "vanishing-with-rhs",
         "vanishing-without-modulus", "modulus-1", "identity-with-modulus",
-        "series-modulus-0", "step-0", "rhs-step-0", "negative-residue",
-        "negative-start", "negative-n-max",
+        "series-modulus-0", "step-0", "negative-residue", "negative-n-max",
     ],
 )
 def test_malformed_claim_is_rejected(kw):

@@ -4,17 +4,20 @@ import csv
 import dataclasses
 import io
 import json
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
 from qbracelet.claims import CongruenceClaim, resolve_selection
 from qbracelet.cli import _verify_csv, _verify_text, main
+from qbracelet.products import ProductSpec
 from qbracelet.sources import (
     bracelet_source,
     euler_source,
     lregular_source,
     partition_source,
+    product_source,
     quintic_euler_source,
 )
 from qbracelet.verify import RunConfig, issue_report, verify
@@ -202,6 +205,29 @@ def test_verify_empty_selection_is_a_usage_error(runner, claims):
     assert "Error: select claims with --claims or pass --all" in result.output
 
 
+def test_verify_all_with_claims_is_a_usage_error(runner):
+    # --all would silently override the selection
+    neither = run(runner, "verify")
+    result = run(runner, "verify", "--all", "--claims", "C6")
+    assert result.exit_code == neither.exit_code == 2
+    assert result.output == neither.output
+    assert result.output.splitlines()[-1] == (
+        "Error: select claims with --claims or pass --all, not both"
+    )
+
+
+GOLDEN_TEXT = Path(__file__).resolve().parent / "golden" / "verify_all.txt"
+
+
+def test_verify_all_text_is_pinned(runner, monkeypatch):
+    # every description and verdict of the catalog, which the JSON golden
+    # (statuses and counterexamples only) does not cover
+    monkeypatch.delenv("QBRACELET_ORDER_CAP", raising=False)
+    result = run(runner, "verify", "--all")
+    assert result.exit_code == 0
+    assert result.output == GOLDEN_TEXT.read_text(encoding="utf-8")
+
+
 @pytest.mark.parametrize(
     "args",
     [
@@ -273,8 +299,7 @@ X2: Σ (q;q)oo(n) q^n ≡ -(q;q)oo (mod 2): PASS n≤10
 X3: (q;q)oo = (q^25;q^25)oo*(a(q)-q-q^2*b(q)): PASS n≤30
 X4: (q;q)oo(n+3) ≡ 0 (mod 2): FAIL at n=2 (value 1)
 X5: Σ p(n) q^n ≡ Σ b_5(n) q^n (mod 3): FAIL at n=5 (value 1)
-X6: p(5n+4) ≡ 0 (mod 5): FAIL at n=0 (value 0) \
-[guard violated: coefficient at n=0 is 0, expected a unit]
+X6: Σ p(5n+4) q^n ≡ 1 (mod 5): FAIL at n=0 (value 4)
 X7: ERROR (truncation 56 exceeds the mod2 order cap 10)
 C16[p=5,r=1,a=1,j=1]: VACUOUS \
 (C16 needs r >= 3: for r <= 2 the alpha range 1..(r-1)/2 is empty)
@@ -289,7 +314,7 @@ X2,pass,10,10,,,0.0\r
 X3,pass,30,30,,,0.0\r
 X4,fail,5,8,2,1,0.0\r
 X5,fail,8,8,5,1,0.0\r
-X6,fail,1,9,0,0,0.0\r
+X6,fail,1,9,0,4,0.0\r
 X7,error,0,56,,,0.0\r
 "C16[p=5,r=1,a=1,j=1]",vacuous,0,0,,,0.0\r
 C99,error,0,0,,,0.0\r
@@ -312,9 +337,9 @@ def test_verify_rendering_is_pinned(monkeypatch, capsys):
         # planted: p(5) = 7 but b_5(5) = 6
         CongruenceClaim("X5", "series", partition_source(), 1, 0, 3,
                         rhs_source=lregular_source(5), default_n_max=8),
-        # C19-style guard on a constant that is 0 mod 5
-        CongruenceClaim("X6", "vanishing", partition_source(), 5, 4, 5,
-                        start_n=1, guard_nonzero=True, default_n_max=1),
+        # planted: a constant right side of 1, but p(4) = 5 ≡ 0 (mod 5)
+        CongruenceClaim("X6", "series", partition_source(), 5, 4, 5,
+                        rhs_source=product_source(ProductSpec()), default_n_max=1),
         CongruenceClaim("X7", "vanishing", bracelet_source(5), 10, 6, 2,
                         default_n_max=5),
     ]

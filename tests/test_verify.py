@@ -1,5 +1,6 @@
 """Verification engine behaviour: statuses, caching, determinism."""
 
+import dataclasses
 import json
 import re
 from pathlib import Path
@@ -8,8 +9,15 @@ import pytest
 
 from qbracelet.claims import CongruenceClaim, default_catalog, families, resolve_selection
 from qbracelet.generators import bracelet_definition_spec
+from qbracelet.products import ProductSpec
 from qbracelet.rings import EXACT, Mod
-from qbracelet.sources import bracelet_source, euler_source, parse_source, partition_source
+from qbracelet.sources import (
+    bracelet_source,
+    euler_source,
+    parse_source,
+    partition_source,
+    product_source,
+)
 from qbracelet.verify import (
     RunConfig,
     SeriesCache,
@@ -63,22 +71,36 @@ def test_counterexample_is_recheckable():
 
 
 def test_guarded_claim_detects_vanishing_constant():
-    # p(5n+4) ≡ 0 (mod 5) holds everywhere, so a nonzero guard on the n=0
-    # coefficient must trip: the claim is true but its constant is 0 mod 5
+    # p(5n+4) ≡ 0 (mod 5) holds everywhere, so a constant right side of 1
+    # fails at n = 0, where p(4) - 1 ≡ -1 ≡ 4 (mod 5)
     claim = make_claim(
         claim_id="X-guard",
+        kind="series",
         source=partition_source(),
         step=5,
         residue=4,
         modulus=5,
-        guard_nonzero=True,
-        start_n=1,
+        rhs_source=product_source(ProductSpec()),
         default_n_max=20,
     )
     (report,) = verify([claim])
     assert report.status == "fail"
-    assert report.counterexample == {"n": 0, "value": 0}
-    assert "guard" in report.message
+    assert report.counterexample == {"n": 0, "value": 4}
+    assert report.message == ""
+
+
+@pytest.mark.parametrize("p, a", [(5, 1), (7, 1), (11, 1), (5, 2)])
+def test_c19_constant_and_its_negation(p, a):
+    # epsilon_p is -1 for p = 5, 7 and +1 for p = 11; at p = 5, a = 2 the
+    # sign is (-1)^2.  Negating it must fail at n = 0.
+    claim = families()["C19"].instantiate(p=p, a=a)
+    cache = SeriesCache()
+    (report,) = verify([claim], cache=cache)
+    assert (report.status, report.n_checked) == ("pass", 300)
+    negated = dataclasses.replace(claim, rhs_sign=-claim.rhs_sign)
+    (report,) = verify([negated], cache=cache)
+    assert report.status == "fail"
+    assert report.counterexample == {"n": 0, "value": (2 * claim.rhs_sign) % p}
 
 
 def test_order_cap_produces_error_report():
