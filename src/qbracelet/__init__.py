@@ -52,7 +52,7 @@ from .theta import (
     p_dissection_f,
     theta_f,
 )
-from .verify import RunConfig, SeriesCache, VerificationReport, verify
+from .verify import SeriesCache, VerificationReport, order_cap, verify
 
 __version__ = "0.1.0"
 

@@ -15,24 +15,17 @@ from .claims import default_catalog, resolve_selection
 from .rings import EXACT, CoefficientRing, Mod
 from .sources import bracelet_source, expand_source, parse_source
 from .verify import (
-    RunConfig,
     SeriesCache,
     issue_report,
+    order_cap,
     progression,
     reports_to_json,
     verify,
 )
 
 
-def _config(**kwargs) -> RunConfig:
-    try:
-        return RunConfig(**kwargs)
-    except ValueError as exc:  # a malformed QBRACELET_ORDER_CAP
-        raise click.ClickException(str(exc)) from None
-
-
-def _check_cap(order: int, ring: CoefficientRing, config: RunConfig) -> None:
-    cap = config.cap_for(ring)
+def _check_cap(order: int, ring: CoefficientRing) -> None:
+    cap = order_cap(ring)
     if order > cap:
         raise click.ClickException(
             f"required order {order} exceeds the cap {cap} "
@@ -42,10 +35,9 @@ def _check_cap(order: int, ring: CoefficientRing, config: RunConfig) -> None:
 
 def _expand(source: str, mod: int | None, order: int):
     """Parse SOURCE and expand it to ORDER; bad input is a one-line error."""
-    config = _config()
     try:
         ring = EXACT if mod is None else Mod(mod)
-        _check_cap(order, ring, config)
+        _check_cap(order, ring)
         src = parse_source(source)
         return src, expand_source(src, ring, order)
     except ValueError as exc:
@@ -76,6 +68,10 @@ def main() -> None:
     Sources are named like: partition, euler[:t], lregular:L, bracelet:K,
     brokendiamond:K, product:SIGN,OFFSET,STEP,EXP[;...].
     """
+    try:
+        order_cap(EXACT)  # a malformed QBRACELET_ORDER_CAP fails every command
+    except ValueError as exc:
+        raise click.ClickException(str(exc)) from None
 
 
 @main.command()
@@ -202,8 +198,7 @@ def verify_cmd(
         issues = []
     else:
         selected, issues = resolve_selection(ids)
-    config = _config(n_max=nmax)
-    reports = verify(selected, config)
+    reports = verify(selected, n_max=nmax)
     reports.extend(issue_report(issue) for issue in issues)
     if fmt == "json":
         click.echo(reports_to_json(reports))
@@ -234,9 +229,8 @@ def search(k: int, amax: int, moduli: tuple[int, ...], nmax: int, fmt: str) -> N
         raise click.ClickException("amax must be >= 1")
     if min(moduli) < 2:
         raise click.ClickException("moduli must be >= 2")
-    config = _config()
     order = amax * nmax + amax - 1
-    _check_cap(order, Mod(max(moduli)), config)
+    _check_cap(order, Mod(max(moduli)))
     source = bracelet_source(k)
     cache = SeriesCache()
     found = []

@@ -207,6 +207,8 @@ def expand_product(
 ) -> TruncatedSeries:
     """Expand a product spec to order n through its normal form: the eta
     map by :func:`eta_quotient`, the remaining factors by binomial chains."""
+    if n < 0:
+        raise ValueError("order must be >= 0")
     eta, general = spec.normal_form()
     parts = []
     if eta:

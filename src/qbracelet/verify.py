@@ -6,6 +6,10 @@ Reports never abort the run; per-claim problems (order cap exceeded,
 non-invertible constant terms, ...) become ``error`` reports.  Every
 series is built once per (normal form, ring) pair before any claim is
 evaluated, and reports come out ordered by claim id.
+
+A run has two inputs: the claims and ``n_max`` (each claim's own default
+when None).  How far one series may be expanded is ``order_cap(ring)``:
+``QBRACELET_ORDER_CAP`` when set, else 2,000 over Z and 50,000 mod M.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .claims import CongruenceClaim, SelectionIssue, claim_sort_key
 from .rings import EXACT, CoefficientRing, Mod
@@ -26,10 +30,12 @@ DEFAULT_ORDER_CAP_EXACT = 2_000
 DEFAULT_ORDER_CAP_MOD = 50_000
 
 
-def _env_cap() -> int | None:
+def order_cap(ring: CoefficientRing) -> int:
+    """The largest order any one series over ``ring`` may be expanded to:
+    ``QBRACELET_ORDER_CAP`` when set, else the ring's default."""
     raw = os.environ.get(ORDER_CAP_ENV)
     if raw is None:
-        return None
+        return DEFAULT_ORDER_CAP_EXACT if ring.is_exact else DEFAULT_ORDER_CAP_MOD
     try:
         cap = int(raw)
     except ValueError:
@@ -37,42 +43,6 @@ def _env_cap() -> int | None:
     if cap < 0:
         raise ValueError(f"{ORDER_CAP_ENV} must be >= 0, got {cap}")
     return cap
-
-
-def _default_cap(default: int):
-    def factory() -> int:
-        cap = _env_cap()
-        return default if cap is None else cap
-
-    return field(default_factory=factory)
-
-
-@dataclass
-class RunConfig:
-    """Knobs for a verification run.
-
-    ``n_max = None`` means every claim uses its own default; the order caps
-    bound how far any one series may be expanded (the environment variable
-    ``QBRACELET_ORDER_CAP`` replaces both defaults when set, never a cap
-    passed explicitly).
-    """
-
-    n_max: int | None = None
-    order_cap_exact: int = _default_cap(DEFAULT_ORDER_CAP_EXACT)
-    order_cap_mod: int = _default_cap(DEFAULT_ORDER_CAP_MOD)
-
-    def __post_init__(self) -> None:
-        if self.n_max is not None and self.n_max < 0:
-            raise ValueError(f"n_max must be >= 0, got {self.n_max}")
-        for name in ("order_cap_exact", "order_cap_mod"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
-
-    def cap_for(self, ring: CoefficientRing) -> int:
-        return self.order_cap_exact if ring.is_exact else self.order_cap_mod
-
-    def n_max_for(self, claim: CongruenceClaim) -> int:
-        return claim.default_n_max if self.n_max is None else self.n_max
 
 
 @dataclass
@@ -138,9 +108,16 @@ def progression(series: TruncatedSeries, step: int, residue: int, n_max: int) ->
     """Coefficients at ``step * n + residue`` for n = 0..n_max.
 
     Unlike ``TruncatedSeries.dissect`` this allows ``residue >= step``,
-    which large family parameters legitimately produce.
+    which large family parameters legitimately produce.  A series too short
+    to reach n = n_max is an error, never a shorter list.
     """
-    return series.coeffs[residue : step * n_max + residue + 1 : step]
+    last = step * n_max + residue
+    if last > series.order:
+        raise ValueError(
+            f"progression {step}n+{residue} to n={n_max} exceeds series order "
+            f"{series.order}"
+        )
+    return series.coeffs[residue : last + 1 : step]
 
 
 Side = tuple[SeriesSource, int, int, int]  # source, step, residue, order
@@ -185,11 +162,13 @@ def issue_report(issue: SelectionIssue) -> VerificationReport:
 
 def verify(
     claims: list[CongruenceClaim],
-    config: RunConfig | None = None,
+    n_max: int | None = None,
     cache: SeriesCache | None = None,
 ) -> list[VerificationReport]:
-    """Check every claim and return one report per claim, ordered by id."""
-    config = config or RunConfig()
+    """Check every claim to ``n_max`` (each claim's own default when None)
+    and return one report per claim, ordered by id."""
+    if n_max is not None and n_max < 0:
+        raise ValueError(f"n_max must be >= 0, got {n_max}")
     cache = cache if cache is not None else SeriesCache()
 
     # Plan: each claim's sides once; per (normal form, ring), the largest
@@ -197,15 +176,15 @@ def verify(
     jobs = []
     plan: dict[tuple, tuple[SeriesSource, CoefficientRing, int]] = {}
     for claim in sorted(claims, key=claim_sort_key):
-        n_max = config.n_max_for(claim)
+        claim_n_max = claim.default_n_max if n_max is None else n_max
         ring = EXACT if claim.kind == "identity" else Mod(claim.modulus)
-        sides = _sides(claim, n_max)
-        cap = config.cap_for(ring)
+        sides = _sides(claim, claim_n_max)
+        cap = order_cap(ring)
         over = [order for *_, order in sides if order > cap]
         problem = ""
         if over:
             problem = f"truncation {over[0]} exceeds the {ring.key()} order cap {cap}"
-        jobs.append((claim, n_max, ring, sides, problem))
+        jobs.append((claim, claim_n_max, ring, sides, problem))
         if problem:
             continue
         for source, *_, order in sides:
@@ -224,14 +203,16 @@ def verify(
             build_errors[_series_key(source, ring)] = f"{type(exc).__name__}: {exc}"
 
     reports = []
-    for claim, n_max, ring, sides, problem in jobs:
+    for claim, claim_n_max, ring, sides, problem in jobs:
         start = time.perf_counter()
         errors = [build_errors.get(_series_key(side[0], ring)) for side in sides]
         problem = problem or next(filter(None, errors), "")
         status, counterexample = "error", None
         if not problem:
             try:
-                status, counterexample = _compare(claim, n_max, ring, sides, cache)
+                status, counterexample = _compare(
+                    claim, claim_n_max, ring, sides, cache
+                )
             except Exception as exc:
                 problem = f"{type(exc).__name__}: {exc}"
         elapsed = 0.0 if status == "error" else (time.perf_counter() - start) * 1000.0
@@ -240,7 +221,7 @@ def verify(
                 claim.claim_id,
                 claim.params_dict(),
                 status,
-                n_checked=0 if status == "error" else n_max,
+                n_checked=0 if status == "error" else claim_n_max,
                 truncation=sides[0][3],
                 counterexample=counterexample,
                 elapsed_ms=round(elapsed, 3),

@@ -29,7 +29,7 @@ from qbracelet.oracles import count_l_regular, count_partitions, partition_numbe
 from qbracelet.products import PochhammerFactor, pochhammer_series, product_series
 from qbracelet.sources import bracelet_source
 from qbracelet.theta import PrimeContext, p_dissection_f
-from qbracelet.verify import RunConfig, verify
+from qbracelet.verify import verify
 
 
 @contextmanager
@@ -117,7 +117,7 @@ def test_criterion_04_classical_congruences():
     with criterion(4, "Ramanujan p(n) congruences and Delta_1(2n+1) mod 3"):
         claims, issues = resolve_selection(["C20", "C1"])
         assert not issues
-        reports = verify(claims, RunConfig(n_max=150))
+        reports = verify(claims, n_max=150)
         assert_all_pass(reports)
 
 
@@ -126,11 +126,11 @@ def test_criterion_05_mod2_theorems():
                       "series congruences", budget_s=30.0):
         claims, issues = resolve_selection(["C6", "C7", "C8"])
         assert not issues
-        reports = verify(claims, RunConfig(n_max=500))
+        reports = verify(claims, n_max=500)
         assert_all_pass(reports)
 
 
-def test_criterion_06_mod2_families():
+def test_criterion_06_mod2_families(monkeypatch):
     with criterion(6, "b_5/B_5 mod 2 families at prime powers, incl. the "
                       "11560n+7452 instance"):
         claims, issues = resolve_selection(["C10", "C12", "C13"])
@@ -141,8 +141,8 @@ def test_criterion_06_mod2_families():
             ["C11[v=1,a=0]", "C11[v=2,a=0]", "C11[v=1,a=1]", "C11[v=2,a=1]"]
         )
         assert not issues
-        config = RunConfig(n_max=100, order_cap_mod=60_000)
-        assert_all_pass(verify(c11, config))
+        monkeypatch.setenv("QBRACELET_ORDER_CAP", "60000")
+        assert_all_pass(verify(c11, n_max=100))
 
 
 def test_criterion_07_mod_p_lemma_and_theorems():
@@ -171,7 +171,7 @@ def test_criterion_08_corollaries():
             ["C18[p=5,a=1]", "C18[p=7,a=1]", "C18[p=11,a=1]"]
         )
         assert not issues
-        reports = verify(claims, RunConfig(n_max=40))
+        reports = verify(claims, n_max=40)
         assert_all_pass(reports)
         assert [(c.step, c.residue) for c in claims] == [(50, 42), (98, 74), (242, 142)]
 

@@ -15,7 +15,7 @@ from qbracelet.claims import (
 from qbracelet.products import ProductSpec
 from qbracelet.sources import euler_source, partition_source, product_source
 from qbracelet.theta import PrimeContext
-from qbracelet.verify import RunConfig, verify
+from qbracelet.verify import verify
 
 
 def test_builtin_catalog_shape():
@@ -152,7 +152,7 @@ def test_required_truncation():
     for cid, n_max, order in (
         ("C6[B=6]", 50, 506), ("C20[m=5]", 0, 4), ("C12[p=17,a=1,i=6]", 2, 30572),
     ):
-        [report] = verify([by_id[cid]], RunConfig(n_max=n_max))
+        [report] = verify([by_id[cid]], n_max=n_max)
         assert report.status == "pass"
         assert report.truncation == order
 

@@ -20,7 +20,7 @@ from qbracelet.sources import (
     product_source,
     quintic_euler_source,
 )
-from qbracelet.verify import RunConfig, issue_report, verify
+from qbracelet.verify import issue_report, verify
 
 
 @pytest.fixture
@@ -102,10 +102,20 @@ def test_coeffs_cap(runner, monkeypatch):
     [("abc", "must be an integer, got 'abc'"), ("-5", "must be >= 0, got -5")],
 )
 def test_bad_env_cap_is_a_one_line_error(runner, monkeypatch, raw, message):
+    # every command, even one that expands nothing (C99 is not in the catalog)
     monkeypatch.setenv("QBRACELET_ORDER_CAP", raw)
-    result = run(runner, "coeffs", "partition", "5")
-    assert result.exit_code == 1
-    assert result.output.splitlines() == [f"Error: QBRACELET_ORDER_CAP {message}"]
+    for args in (
+        ("coeffs", "partition", "5"),
+        ("dissect", "partition", "2", "1"),
+        ("search", "5", "--amax", "2", "--mod", "2", "--nmax", "3"),
+        ("verify", "--all"),
+        ("verify", "--claims", "C99"),
+    ):
+        result = run(runner, *args)
+        assert result.exit_code == 1, args
+        assert result.output.splitlines() == [
+            f"Error: QBRACELET_ORDER_CAP {message}"
+        ], args
 
 
 def test_dissect_vanishing_progression(runner):
@@ -300,7 +310,7 @@ X3: (q;q)oo = (q^25;q^25)oo*(a(q)-q-q^2*b(q)): PASS n≤30
 X4: (q;q)oo(n+3) ≡ 0 (mod 2): FAIL at n=2 (value 1)
 X5: Σ p(n) q^n ≡ Σ b_5(n) q^n (mod 3): FAIL at n=5 (value 1)
 X6: Σ p(5n+4) q^n ≡ 1 (mod 5): FAIL at n=0 (value 4)
-X7: ERROR (truncation 56 exceeds the mod2 order cap 10)
+X7: ERROR (truncation 50006 exceeds the mod2 order cap 50000)
 C16[p=5,r=1,a=1,j=1]: VACUOUS \
 (C16 needs r >= 3: for r <= 2 the alpha range 1..(r-1)/2 is empty)
 C99: ERROR (unknown claim id 'C99')
@@ -315,7 +325,7 @@ X3,pass,30,30,,,0.0\r
 X4,fail,5,8,2,1,0.0\r
 X5,fail,8,8,5,1,0.0\r
 X6,fail,1,9,0,4,0.0\r
-X7,error,0,56,,,0.0\r
+X7,error,0,50006,,,0.0\r
 "C16[p=5,r=1,a=1,j=1]",vacuous,0,0,,,0.0\r
 C99,error,0,0,,,0.0\r
 """
@@ -340,11 +350,12 @@ def test_verify_rendering_is_pinned(monkeypatch, capsys):
         # planted: a constant right side of 1, but p(4) = 5 ≡ 0 (mod 5)
         CongruenceClaim("X6", "series", partition_source(), 5, 4, 5,
                         rhs_source=product_source(ProductSpec()), default_n_max=1),
+        # past the default mod-M order cap: 10 * 5000 + 6 > 50,000
         CongruenceClaim("X7", "vanishing", bracelet_source(5), 10, 6, 2,
-                        default_n_max=5),
+                        default_n_max=5000),
     ]
     _, issues = resolve_selection(["C16[p=5,r=1,a=1,j=1]", "C99"])
-    reports = verify(claims, RunConfig(order_cap_mod=10))
+    reports = verify(claims)
     reports += [issue_report(issue) for issue in issues]
     reports = [dataclasses.replace(r, elapsed_ms=0.0) for r in reports]
     _verify_text(reports)

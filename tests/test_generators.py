@@ -36,7 +36,7 @@ from qbracelet.oracles import (
 )
 from qbracelet.products import ProductSpec, product_series
 from qbracelet.sources import expand_source, parse_source
-from qbracelet.verify import DEFAULT_ORDER_CAP_EXACT
+from qbracelet.verify import DEFAULT_ORDER_CAP_EXACT, SeriesCache
 
 
 def test_partition_series_against_enumeration():
@@ -232,6 +232,19 @@ def test_exact_route_at_the_order_cap(key):
     assert exact.resized(CAP_PREFIX) == definition
     if source.kind == "partition":
         assert exact.coeffs == partition_numbers(n)
+
+
+@pytest.mark.parametrize(
+    "ring", [EXACT, Mod(2), Mod(5), Mod(25)], ids=lambda r: r.key()
+)
+def test_negative_order_is_a_value_error(ring):
+    # every route, the mod-2 one included, refuses order -1 the same way
+    for key in ("partition", "bracelet:5", "product:1,1,4,-2", "quintic_euler"):
+        source = parse_source(key)
+        with pytest.raises(ValueError, match="order must be >= 0"):
+            expand_source(source, ring, -1)
+        with pytest.raises(ValueError, match="order must be >= 0"):
+            SeriesCache().get(source, ring, -1)
 
 
 def test_exact_eta_quotient_makes_no_convolution(kernel_calls):

@@ -18,10 +18,11 @@ from qbracelet.sources import (
     partition_source,
     product_source,
 )
+from qbracelet.series import TruncatedSeries
 from qbracelet.verify import (
-    RunConfig,
     SeriesCache,
     issue_report,
+    order_cap,
     progression,
     reports_to_json,
     verify,
@@ -105,7 +106,7 @@ def test_c19_constant_and_its_negation(p, a):
 
 def test_order_cap_produces_error_report():
     claim = make_claim(default_n_max=10_000)
-    (report,) = verify([claim], RunConfig())
+    (report,) = verify([claim])
     assert report.status == "error"
     assert "exceeds" in report.message
     assert report.truncation == 10 * 10_000 + 6
@@ -113,46 +114,36 @@ def test_order_cap_produces_error_report():
 
 def test_env_cap_override(monkeypatch):
     monkeypatch.setenv("QBRACELET_ORDER_CAP", "200")
-    config = RunConfig()
-    assert config.order_cap_mod == 200
-    assert config.order_cap_exact == 200
-    (report,) = verify([make_claim()], config)
+    assert order_cap(Mod(2)) == 200
+    assert order_cap(EXACT) == 200
+    (report,) = verify([make_claim()])
     assert report.status == "error"
-
-
-def test_env_cap_replaces_only_defaults(monkeypatch):
-    monkeypatch.setenv("QBRACELET_ORDER_CAP", "10")
-    config = RunConfig(order_cap_mod=99_999)
-    assert config.order_cap_mod == 99_999
-    assert config.order_cap_exact == 10
 
 
 @pytest.mark.parametrize("raw", ["abc", "-1"])
 def test_env_cap_must_be_a_nonnegative_integer(monkeypatch, raw):
     monkeypatch.setenv("QBRACELET_ORDER_CAP", raw)
-    with pytest.raises(ValueError, match="QBRACELET_ORDER_CAP"):
-        RunConfig()
+    for ring in (EXACT, Mod(2)):
+        with pytest.raises(ValueError, match="QBRACELET_ORDER_CAP"):
+            order_cap(ring)
 
 
-@pytest.mark.parametrize(
-    "kw", [{"n_max": -1}, {"order_cap_exact": -1}, {"order_cap_mod": -1}]
-)
-def test_run_config_rejects_negative_values(kw):
+def test_verify_rejects_negative_n_max():
     with pytest.raises(ValueError, match=">= 0"):
-        RunConfig(**kw)
+        verify([make_claim()], n_max=-1)
 
 
 def test_series_cache_shared_across_claims():
     claims, _ = resolve_selection(["C6", "C7"])
     cache = SeriesCache()
-    verify(claims, RunConfig(), cache=cache)
+    verify(claims, cache=cache)
     built = [b for b in cache.builds if b[0] == "bracelet:5"]
     assert len(built) == 1  # one expansion serves C6[B=6], C6[B=8] and C7
 
 
 def test_full_catalog_expands_each_source_ring_once():
     cache = SeriesCache()
-    reports = verify(default_catalog(), RunConfig(), cache=cache)
+    reports = verify(default_catalog(), cache=cache)
     assert all(r.status == "pass" for r in reports)
     keys = [(src, ring) for src, ring, _ in cache.builds]
     assert len(keys) == len(set(keys))
@@ -205,7 +196,7 @@ def test_issue_report_carries_status():
 
 def test_nmax_override_applies_to_all_claims():
     claim = make_claim()
-    (report,) = verify([claim], RunConfig(n_max=7))
+    (report,) = verify([claim], n_max=7)
     assert report.n_checked == 7
     assert report.truncation == 76
 
@@ -222,6 +213,14 @@ def test_progression_allows_residue_past_step():
     claim = families()["C10"].instantiate(p=17, a=1, i=16)  # residue 1425 > step 1156
     (report,) = verify([claim])
     assert (report.status, report.truncation) == ("pass", 3 * 1156 + 1425)
+
+
+def test_progression_short_of_n_max_is_an_error():
+    # 3n+2 to n=5 needs order 17; a slice would stop at n=2 without a word
+    series = TruncatedSeries(EXACT, list(range(11)))
+    assert progression(series, 3, 1, 3) == [1, 4, 7, 10]  # reaches order 10
+    with pytest.raises(ValueError, match="exceeds series order 10"):
+        progression(series, 3, 2, 5)
 
 
 def test_series_congruence_failure_reports_residual():
