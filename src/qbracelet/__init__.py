@@ -15,10 +15,6 @@ from .claims import (
 )
 from .generators import (
     euler_quintic_rhs,
-    gen_bracelet,
-    gen_broken_diamond,
-    gen_l_regular,
-    gen_partition,
     ramanujan_a,
     ramanujan_b,
 )
@@ -32,7 +28,6 @@ from .oracles import (
 from .products import (
     PochhammerFactor,
     ProductSpec,
-    pochhammer_series,
     product_series,
 )
 from .rings import (

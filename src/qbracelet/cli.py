@@ -25,7 +25,10 @@ from .verify import (
 
 
 def _check_cap(order: int, ring: CoefficientRing) -> None:
-    cap = order_cap(ring)
+    try:
+        cap = order_cap(ring)
+    except ValueError as exc:  # a malformed QBRACELET_ORDER_CAP
+        raise click.ClickException(str(exc)) from None
     if order > cap:
         raise click.ClickException(
             f"required order {order} exceeds the cap {cap} "
@@ -68,10 +71,6 @@ def main() -> None:
     Sources are named like: partition, euler[:t], lregular:L, bracelet:K,
     brokendiamond:K, product:SIGN,OFFSET,STEP,EXP[;...].
     """
-    try:
-        order_cap(EXACT)  # a malformed QBRACELET_ORDER_CAP fails every command
-    except ValueError as exc:
-        raise click.ClickException(str(exc)) from None
 
 
 @main.command()
@@ -113,7 +112,7 @@ def dissect(
         raise click.ClickException("RESIDUE must satisfy 0 <= RESIDUE < STEP")
     src, series = _expand(source, mod, step * order + residue)
     _dump_coefficients(
-        series.dissect(step, residue).coeffs,
+        progression(series, step, residue, order),
         fmt,
         {
             "source": src.key(),
@@ -198,6 +197,7 @@ def verify_cmd(
         issues = []
     else:
         selected, issues = resolve_selection(ids)
+    _check_cap(0, EXACT)  # a malformed cap fails even a run that expands nothing
     reports = verify(selected, n_max=nmax)
     reports.extend(issue_report(issue) for issue in issues)
     if fmt == "json":

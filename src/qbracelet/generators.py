@@ -243,33 +243,6 @@ def bracelet_definition_spec(k: int) -> ProductSpec:
     return ProductSpec.of((1, 1, 1, 1), (-1, 1, 1, -(k - 1)), (1, k, k, -1))
 
 
-def gen_partition(n: int, ring: CoefficientRing = EXACT) -> TruncatedSeries:
-    """Coefficients p(0)..p(n)."""
-    return expand_product(PARTITION_SPEC, n, ring)
-
-
-def gen_l_regular(ell: int, n: int, ring: CoefficientRing = EXACT) -> TruncatedSeries:
-    """Coefficients b_ell(0)..b_ell(n)."""
-    return expand_product(l_regular_spec(ell), n, ring)
-
-
-def gen_broken_diamond(k: int, n: int, ring: CoefficientRing = EXACT) -> TruncatedSeries:
-    """Coefficients Delta_k(0)..Delta_k(n)."""
-    return expand_product(broken_diamond_spec(k), n, ring)
-
-
-def gen_bracelet(k: int, n: int, ring: CoefficientRing = EXACT) -> TruncatedSeries:
-    """Coefficients B_k(0)..B_k(n) of the k dots bracelet family."""
-    return expand_product(bracelet_definition_spec(k), n, ring)
-
-
-def bracelet_intermediate_spec(k: int) -> ProductSpec:
-    """The half-rewritten form (q^2;q^2)/((q;q)^k(-q^k;q^k))."""
-    if k < 3:
-        raise ValueError("k must be >= 3")
-    return ProductSpec.of((-1, 2, 2, 1), (-1, 1, 1, -k), (1, k, k, -1))
-
-
 RAMANUJAN_A_SPEC = ProductSpec.of(
     (-1, 10, 25, 1), (-1, 15, 25, 1), (-1, 5, 25, -1), (-1, 20, 25, -1)
 )

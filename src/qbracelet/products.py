@@ -162,14 +162,6 @@ def pochhammer_inverse(
     return TruncatedSeries(ring, cs, normalize=False)
 
 
-def pochhammer_series(
-    factor: PochhammerFactor, n: int, ring: CoefficientRing = EXACT
-) -> TruncatedSeries:
-    """Expansion of a single factor; negative exponents divide by its
-    binomials instead of multiplying."""
-    return product_series(ProductSpec((factor,)), n, ring)
-
-
 def product_series(
     spec: ProductSpec, n: int, ring: CoefficientRing = EXACT
 ) -> TruncatedSeries:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from . import _kernel
-from .rings import EXACT, CoefficientRing, Mod, RingMismatchError
+from .rings import CoefficientRing, Mod, RingMismatchError
 
 
 def _conv(ring: CoefficientRing, x: list[int], y: list[int], n_out: int) -> list[int]:
@@ -141,23 +141,6 @@ class TruncatedSeries:
             b = _conv(ring, b, t, prec - 1)
         return TruncatedSeries(ring, b, normalize=False)
 
-    def dissect(self, step: int, residue: int) -> "TruncatedSeries":
-        """Sub-series on the arithmetic progression step*n + residue.
-
-        Result order is floor((order - residue) / step).  A residue beyond
-        the stored order is a hard error: it almost always means the caller
-        sized the source series wrong.
-        """
-        if step < 1:
-            raise ValueError("dissection step must be >= 1")
-        if not 0 <= residue < step:
-            raise ValueError("dissection residue must satisfy 0 <= residue < step")
-        if residue > self.order:
-            raise ValueError(
-                f"residue {residue} exceeds series order {self.order}"
-            )
-        return TruncatedSeries(self.ring, self.coeffs[residue::step], normalize=False)
-
     def inflate(self, t: int) -> "TruncatedSeries":
         """Substitute q -> q^t; the result has order t * self.order, so no
         coefficient is lost."""
@@ -174,7 +157,7 @@ class TruncatedSeries:
         """Copy truncated or zero-extended to the given order.
 
         Extension fills zeros; that is only sound when the caller knows the
-        dropped tail is zero (e.g. plumbing around dissect/inflate), since a
+        dropped tail is zero (e.g. plumbing around inflate), since a
         truncated series carries no information beyond its order.
         """
         if order < 0:
@@ -228,6 +211,3 @@ class TruncatedSeries:
         head = ", ".join(str(c) for c in self.coeffs[:8])
         tail = ", ..." if self.order >= 8 else ""
         return f"TruncatedSeries({self.ring}, order={self.order}: [{head}{tail}])"
-
-
-__all__ = ["TruncatedSeries", "EXACT", "Mod", "CoefficientRing"]

@@ -107,9 +107,9 @@ class SeriesCache:
 def progression(series: TruncatedSeries, step: int, residue: int, n_max: int) -> list[int]:
     """Coefficients at ``step * n + residue`` for n = 0..n_max.
 
-    Unlike ``TruncatedSeries.dissect`` this allows ``residue >= step``,
-    which large family parameters legitimately produce.  A series too short
-    to reach n = n_max is an error, never a shorter list.
+    ``residue >= step`` is allowed, since large family parameters
+    legitimately produce it.  A series too short to reach n = n_max is an
+    error, never a shorter list.
     """
     last = step * n_max + residue
     if last > series.order:

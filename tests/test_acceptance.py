@@ -15,9 +15,6 @@ from qbracelet import (
     TruncatedSeries,
     euler_quintic_rhs,
     euler_series,
-    gen_bracelet,
-    gen_l_regular,
-    gen_partition,
     jacobi_triple_check,
     ramanujan_a,
     ramanujan_b,
@@ -26,10 +23,15 @@ from qbracelet import (
 from qbracelet.claims import CongruenceClaim, resolve_selection
 from qbracelet.generators import bracelet_definition_spec
 from qbracelet.oracles import count_l_regular, count_partitions, partition_numbers
-from qbracelet.products import PochhammerFactor, pochhammer_series, product_series
-from qbracelet.sources import bracelet_source
+from qbracelet.products import ProductSpec, product_series
+from qbracelet.sources import (
+    bracelet_source,
+    expand_source,
+    lregular_source,
+    partition_source,
+)
 from qbracelet.theta import PrimeContext, p_dissection_f
-from qbracelet.verify import verify
+from qbracelet.verify import progression, verify
 
 
 @contextmanager
@@ -62,7 +64,7 @@ def test_criterion_01_identity_suite():
         n = 1000
         # pentagonal theorem: theta sum against the binomial-chain product
         pent_sum = theta_f(1, 2, -1, -1, n)
-        pent_prod = pochhammer_series(PochhammerFactor(-1, 1, 1, 1), n)
+        pent_prod = product_series(ProductSpec.of((-1, 1, 1, 1)), n)
         assert pent_sum == pent_prod
 
         # quintic splitting of (q;q)
@@ -77,8 +79,8 @@ def test_criterion_01_identity_suite():
 
         # bracelet generating function: definition vs rewritten form
         for k in (3, 5, 7):
-            assert product_series(bracelet_definition_spec(k), 300) == gen_bracelet(
-                k, 300
+            assert product_series(bracelet_definition_spec(k), 300) == expand_source(
+                bracelet_source(k), EXACT, 300
             )
 
 
@@ -105,8 +107,8 @@ def test_criterion_02_p_dissection_suite():
 def test_criterion_03_oracle_concordance():
     with criterion(3, "series engine vs enumeration and recurrence oracles",
                    budget_s=5.0):
-        part = gen_partition(1000)
-        lreg = gen_l_regular(5, 40)
+        part = expand_source(partition_source(), EXACT, 1000)
+        lreg = expand_source(lregular_source(5), EXACT, 40)
         for n in range(41):
             assert part.coeffs[n] == count_partitions(n)
             assert lreg.coeffs[n] == count_l_regular(5, n)
@@ -161,7 +163,7 @@ def test_criterion_07_mod_p_lemma_and_theorems():
         reports = verify(claims)
         assert_all_pass(reports)
         # C19's constant right side: the n=0 coefficient is epsilon_5 = -1 mod 5
-        b25 = gen_bracelet(25, 2, Mod(5))
+        b25 = expand_source(bracelet_source(25), Mod(5), 2)
         assert b25.coeffs[2] == 4
 
 
@@ -251,8 +253,9 @@ def test_criterion_11_randomized_property_suite():
             target = (order // step) * step
             total = TruncatedSeries.zero(ring, target)
             for residue in range(step):
+                cs = progression(x, step, residue, (x.order - residue) // step)
                 piece = (
-                    x.dissect(step, residue).inflate(step).resized(target)
+                    TruncatedSeries(ring, cs).inflate(step).resized(target)
                     .shift(residue)
                 )
                 total = total + piece

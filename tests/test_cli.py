@@ -118,6 +118,14 @@ def test_bad_env_cap_is_a_one_line_error(runner, monkeypatch, raw, message):
         ], args
 
 
+@pytest.mark.parametrize("command", ["coeffs", "dissect", "verify", "search"])
+def test_help_ignores_a_bad_env_cap(runner, monkeypatch, command):
+    monkeypatch.setenv("QBRACELET_ORDER_CAP", "abc")
+    result = run(runner, command, "--help")
+    assert result.exit_code == 0
+    assert result.output.startswith("Usage:")
+
+
 def test_dissect_vanishing_progression(runner):
     result = run(runner, "dissect", "bracelet:5", "10", "6", "--mod", "2", "-N", "100")
     assert result.exit_code == 0

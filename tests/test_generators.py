@@ -11,10 +11,6 @@ from qbracelet import (
     TruncatedSeries,
     euler_quintic_rhs,
     euler_series,
-    gen_bracelet,
-    gen_broken_diamond,
-    gen_l_regular,
-    gen_partition,
     ramanujan_a,
     ramanujan_b,
 )
@@ -23,7 +19,6 @@ from qbracelet.claims import default_catalog
 from qbracelet.generators import (
     RAMANUJAN_A_SPEC,
     bracelet_definition_spec,
-    bracelet_intermediate_spec,
     eta_quotient,
     expand_product,
 )
@@ -35,28 +30,37 @@ from qbracelet.oracles import (
     partition_numbers,
 )
 from qbracelet.products import ProductSpec, product_series
-from qbracelet.sources import expand_source, parse_source
-from qbracelet.verify import DEFAULT_ORDER_CAP_EXACT, SeriesCache
+from qbracelet.sources import (
+    bracelet_source,
+    broken_diamond_source,
+    expand_source,
+    lregular_source,
+    parse_source,
+    partition_source,
+)
+from qbracelet.verify import DEFAULT_ORDER_CAP_EXACT, SeriesCache, verify
 
 
 def test_partition_series_against_enumeration():
-    s = gen_partition(9)
+    s = expand_source(partition_source(), EXACT, 9)
     assert s.coeffs == [1, 1, 2, 3, 5, 7, 11, 15, 22, 30]
-    assert gen_partition(40).coeffs == [count_partitions(n) for n in range(41)]
+    s = expand_source(partition_source(), EXACT, 40)
+    assert s.coeffs == [count_partitions(n) for n in range(41)]
 
 
 def test_l_regular_series_small():
-    assert gen_l_regular(5, 5).coeffs == [1, 1, 2, 3, 5, 6]
-    assert gen_l_regular(5, 30).coeffs == [count_l_regular(5, n) for n in range(31)]
+    assert expand_source(lregular_source(5), EXACT, 5).coeffs == [1, 1, 2, 3, 5, 6]
+    s = expand_source(lregular_source(5), EXACT, 30)
+    assert s.coeffs == [count_l_regular(5, n) for n in range(31)]
     with pytest.raises(ValueError):
-        gen_l_regular(1, 10)
+        expand_source(lregular_source(1), EXACT, 10)
 
 
 def test_broken_diamond_mod3_odd_indices_vanish():
-    s = gen_broken_diamond(1, 200).reduce_mod(3)
+    s = expand_source(broken_diamond_source(1), EXACT, 200).reduce_mod(3)
     assert all(s.coeffs[2 * n + 1] == 0 for n in range(100))
     with pytest.raises(ValueError):
-        gen_broken_diamond(0, 10)
+        expand_source(broken_diamond_source(0), EXACT, 10)
 
 
 def test_broken_diamond_definition_cross_check():
@@ -66,27 +70,30 @@ def test_broken_diamond_definition_cross_check():
     for k in (1, 2):
         m = 2 * k + 1
         spec = ProductSpec.of((1, 1, 1, 1), (-1, 1, 1, -2), (1, m, m, -1))
-        assert product_series(spec, 120) == gen_broken_diamond(k, 120)
+        fast = expand_source(broken_diamond_source(k), EXACT, 120)
+        assert product_series(spec, 120) == fast
 
 
 def test_bracelet_factorizations_agree():
     for k in (3, 5, 7):
-        fast = gen_bracelet(k, 300)
+        fast = expand_source(bracelet_source(k), EXACT, 300)
         definition = product_series(bracelet_definition_spec(k), 300)
-        intermediate = product_series(bracelet_intermediate_spec(k), 300)
+        # the half-rewritten form (q^2;q^2)/((q;q)^k (-q^k;q^k))
+        spec = ProductSpec.of((-1, 2, 2, 1), (-1, 1, 1, -k), (1, k, k, -1))
+        intermediate = product_series(spec, 300)
         assert fast == definition
         assert fast == intermediate
     with pytest.raises(ValueError):
-        gen_bracelet(2, 10)
+        expand_source(bracelet_source(2), EXACT, 10)
 
 
 def test_generating_functions_count_things():
     # constant term 1, all coefficients nonnegative
     for series in (
-        gen_partition(300),
-        gen_l_regular(5, 300),
-        gen_broken_diamond(1, 300),
-        gen_bracelet(5, 300),
+        expand_source(partition_source(), EXACT, 300),
+        expand_source(lregular_source(5), EXACT, 300),
+        expand_source(broken_diamond_source(1), EXACT, 300),
+        expand_source(bracelet_source(5), EXACT, 300),
     ):
         assert series.coeffs[0] == 1
         assert all(c >= 0 for c in series.coeffs)
@@ -95,16 +102,16 @@ def test_generating_functions_count_things():
 def test_bracelet_small_values():
     # B_5(1) = 5 and B_5(2) = 19, from the definition via distinct-part and
     # 4-colored partition counts
-    s = gen_bracelet(5, 4)
+    s = expand_source(bracelet_source(5), EXACT, 4)
     assert s.coeffs[0] == 1
     assert s.coeffs[1] == 5
     assert s.coeffs[2] == 19
 
 
 def test_modular_bracelet_matches_exact_reduction():
-    exact = gen_bracelet(5, 200)
+    exact = expand_source(bracelet_source(5), EXACT, 200)
     for m in (2, 5):
-        assert exact.reduce_mod(m) == gen_bracelet(5, 200, Mod(m))
+        assert exact.reduce_mod(m) == expand_source(bracelet_source(5), Mod(m), 200)
 
 
 def test_ramanujan_a_b_are_reciprocal():
@@ -175,25 +182,42 @@ def test_catalog_mod2_builds_match_exact_reduction(source):
     assert expand_source(source, Mod(2), n) == expand_source(source, EXACT, n).reduce_mod(2)
 
 
+def test_verify_all_modular_builds_match_exact_reduction():
+    # every series verify --all builds mod m, the prime-power and composite
+    # rings included, against the route over Z, which has no Frobenius
+    # split, no Newton step and no bitset
+    cache = SeriesCache()
+    verify(default_catalog(), cache=cache)
+    modular = [build for build in cache.builds if build[1] != "exact"]
+    assert {ring for _, ring, _ in modular} >= {"mod4", "mod25", "mod49", "mod121"}
+    for key, ring, order in modular:
+        source, m, n = parse_source(key), int(ring.removeprefix("mod")), min(order, 2000)
+        exact = expand_source(source, EXACT, n).reduce_mod(m)
+        assert expand_source(source, Mod(m), n) == exact, (key, ring)
+
+
 def test_gf2_quotient_makes_no_convolution(kernel_calls):
     conv_mod_calls = kernel_calls("conv_mod")
-    gen_bracelet(5, 30572, Mod(2))
+    expand_source(bracelet_source(5), Mod(2), 30572)
     assert conv_mod_calls == []
 
 
 def test_eta_quotient_frobenius_collapse():
     # B_125 == (q^2;q^2)/(q^250;q^250) and B_11 == (q^2;q^2)/(q^22;q^22) mod p
     n = 600
-    assert gen_bracelet(125, n, Mod(5)) == eta_quotient({2: 1, 250: -1}, n, Mod(5))
-    assert gen_bracelet(11, n, Mod(11)) == eta_quotient({2: 1, 22: -1}, n, Mod(11))
+    b125 = expand_source(bracelet_source(125), Mod(5), n)
+    assert b125 == eta_quotient({2: 1, 250: -1}, n, Mod(5))
+    b11 = expand_source(bracelet_source(11), Mod(11), n)
+    assert b11 == eta_quotient({2: 1, 22: -1}, n, Mod(11))
     assert eta_quotient({1: 5, 5: -1}, n, Mod(5)) == TruncatedSeries.one(Mod(5), n)
 
 
 def test_eta_quotient_modulus_past_the_primality_bound():
     # no Frobenius split where primality is undecided; Newton still holds
     m = MR_EXACT_BELOW + 2
-    exact = gen_bracelet(m + 7, 8).coeffs
-    assert gen_bracelet(m + 7, 8, Mod(m)).coeffs == [c % m for c in exact]
+    exact = expand_source(bracelet_source(m + 7), EXACT, 8).coeffs
+    modular = expand_source(bracelet_source(m + 7), Mod(m), 8).coeffs
+    assert modular == [c % m for c in exact]
 
 
 def test_eta_quotient_edge_cases():
@@ -249,7 +273,7 @@ def test_negative_order_is_a_value_error(ring):
 
 def test_exact_eta_quotient_makes_no_convolution(kernel_calls):
     conv_exact_calls = kernel_calls("conv_exact")
-    gen_bracelet(21, 2000)
+    expand_source(bracelet_source(21), EXACT, 2000)
     assert conv_exact_calls == []
 
 
@@ -267,7 +291,7 @@ def test_corrupted_pentagonal_terms_raise(monkeypatch):
 
     monkeypatch.setattr(generators, "pentagonal_terms", corrupted)
     with pytest.raises(ArithmeticError):
-        gen_bracelet(5, 100)
+        expand_source(bracelet_source(5), EXACT, 100)
 
 
 def test_expand_product_multiplies_its_parts_once(kernel_calls):

@@ -48,10 +48,11 @@ def test_l_regular_counts():
 
 
 def test_l_regular_matches_series():
-    from qbracelet import gen_l_regular
+    from qbracelet import EXACT, expand_source
+    from qbracelet.sources import lregular_source
 
     for ell in (2, 3, 5, 7):
-        series = gen_l_regular(ell, 40)
+        series = expand_source(lregular_source(ell), EXACT, 40)
         for n in range(41):
             assert series.coeffs[n] == count_l_regular(ell, n)
 

@@ -14,27 +14,26 @@ from qbracelet.products import (
     ProductSpec,
     pochhammer_base,
     pochhammer_inverse,
-    pochhammer_series,
     product_series,
 )
-from qbracelet.sources import expand_source, parse_source
+from qbracelet.sources import bracelet_source, expand_source, parse_source
 
 # pentagonal exponents 0,1,2,5,7,12 with signs +,-,-,+,+,-
 PENTAGONAL_12 = [1, -1, -1, 0, 0, 1, 0, 1, 0, 0, 0, 0, -1]
 
 
 def test_euler_factor_expansion():
-    s = pochhammer_series(PochhammerFactor(-1, 1, 1, 1), 12)
+    s = product_series(ProductSpec.of((-1, 1, 1, 1)), 12)
     assert s.coeffs == PENTAGONAL_12
 
 
 def test_zero_exponent_is_one():
-    s = pochhammer_series(PochhammerFactor(-1, 3, 4, 0), 10)
+    s = product_series(ProductSpec.of((-1, 3, 4, 0)), 10)
     assert s == TruncatedSeries.one(EXACT, 10)
 
 
 def test_negative_exponent_gives_partition_numbers():
-    s = pochhammer_series(PochhammerFactor(-1, 1, 1, -1), 9)
+    s = product_series(ProductSpec.of((-1, 1, 1, -1)), 9)
     assert s.coeffs == [count_partitions(n) for n in range(10)]
 
 
@@ -57,16 +56,14 @@ def test_inverse_pair_cancels():
 
 
 def test_bracelet_rewriting_matches_generator():
-    from qbracelet import gen_bracelet
-
     spec = ProductSpec.of((-1, 2, 2, 1), (-1, 5, 5, 1), (-1, 1, 1, -5), (-1, 10, 10, -1))
-    assert product_series(spec, 20) == gen_bracelet(5, 20)
+    assert product_series(spec, 20) == expand_source(bracelet_source(5), EXACT, 20)
 
 
 def test_plus_factor_equals_quotient_identity():
     # (-q^a;q^b) = (q^{2a};q^{2b}) / (q^a;q^b), exercised both ways
     for a, b in [(1, 1), (2, 3), (5, 5)]:
-        direct = pochhammer_series(PochhammerFactor(1, a, b, 1), 40)
+        direct = product_series(ProductSpec.of((1, a, b, 1)), 40)
         quotient = product_series(
             ProductSpec.of((-1, 2 * a, 2 * b, 1), (-1, a, b, -1)), 40
         )
@@ -75,10 +72,10 @@ def test_plus_factor_equals_quotient_identity():
 
 def test_euler_times_plus_euler_is_even_euler():
     # (q;q)(-q;q) = (q^2;q^2) coefficientwise
-    lhs = pochhammer_series(PochhammerFactor(-1, 1, 1, 1), 100) * pochhammer_series(
-        PochhammerFactor(1, 1, 1, 1), 100
+    lhs = product_series(ProductSpec.of((-1, 1, 1, 1)), 100) * product_series(
+        ProductSpec.of((1, 1, 1, 1)), 100
     )
-    rhs = pochhammer_series(PochhammerFactor(-1, 2, 2, 1), 100)
+    rhs = product_series(ProductSpec.of((-1, 2, 2, 1)), 100)
     assert lhs == rhs
 
 

@@ -12,7 +12,8 @@ from qbracelet import (
     TruncatedSeries,
 )
 from qbracelet.oracles import count_partitions
-from qbracelet.products import PochhammerFactor, pochhammer_series
+from qbracelet.products import ProductSpec, product_series
+from qbracelet.verify import progression
 
 
 def series(ring, *coeffs):
@@ -100,7 +101,7 @@ def test_invert_one():
 
 def test_invert_euler_gives_partition_numbers():
     # independent oracle: direct combinatorial count
-    inv = pochhammer_series(PochhammerFactor(-1, 1, 1, 1), 20).invert()
+    inv = product_series(ProductSpec.of((-1, 1, 1, 1)), 20).invert()
     assert inv.coeffs == [count_partitions(n) for n in range(21)]
 
 
@@ -116,12 +117,12 @@ def test_invert_requires_unit():
 
 def test_dissect_constant_stream():
     x = TruncatedSeries(EXACT, [1] * 21)
-    assert x.dissect(2, 1).coeffs == [1] * 10
+    assert progression(x, 2, 1, (x.order - 1) // 2) == [1] * 10
 
 
 def test_dissect_identity():
     x = series(EXACT, 4, 8, 15, 16, 23, 42)
-    assert x.dissect(1, 0) == x
+    assert progression(x, 1, 0, x.order) == x.coeffs
 
 
 def test_dissect_pentagonal_class_three_mod_five():
@@ -129,7 +130,7 @@ def test_dissect_pentagonal_class_three_mod_five():
     from qbracelet import euler_series
 
     e = euler_series(50)
-    assert e.dissect(5, 3) == TruncatedSeries.zero(EXACT, e.dissect(5, 3).order)
+    assert progression(e, 5, 3, (e.order - 3) // 5) == [0] * 10
     pent = {k * (3 * k - 1) // 2 for k in range(-10, 11)}
     assert all(v % 5 != 3 for v in pent if 0 <= v <= 50)
 
@@ -137,10 +138,8 @@ def test_dissect_pentagonal_class_three_mod_five():
 def test_dissect_rejects_degenerate_residue():
     x = series(EXACT, 1, 2, 3)
     with pytest.raises(ValueError):
-        x.dissect(5, 4)
-    with pytest.raises(ValueError):
-        x.dissect(2, 2)
-    assert x.dissect(3, 2).coeffs == [3]
+        progression(x, 5, 4, 0)
+    assert progression(x, 3, 2, 0) == [3]
 
 
 def test_inflate_binomial():
@@ -188,9 +187,10 @@ def test_reduce_mod():
 
 
 def test_reduce_mod_partition_multiples_of_five():
-    from qbracelet import gen_partition
+    from qbracelet import expand_source
+    from qbracelet.sources import partition_source
 
-    p = gen_partition(19).reduce_mod(5)
+    p = expand_source(partition_source(), EXACT, 19).reduce_mod(5)
     assert [p.coeffs[i] for i in (4, 9, 14, 19)] == [0, 0, 0, 0]
 
 
@@ -253,7 +253,8 @@ def test_dissect_reconstruct_random():
         target = (order // step) * step
         total = TruncatedSeries.zero(ring, target)
         for residue in range(step):
-            piece = x.dissect(step, residue).inflate(step).resized(target).shift(residue)
+            cs = progression(x, step, residue, (x.order - residue) // step)
+            piece = TruncatedSeries(ring, cs).inflate(step).resized(target).shift(residue)
             total = total + piece
         assert total == x.resized(target)
 

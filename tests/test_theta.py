@@ -4,7 +4,7 @@ Euler's product."""
 import pytest
 
 from qbracelet import EXACT, TruncatedSeries, euler_series, theta_f
-from qbracelet.products import PochhammerFactor, pochhammer_series
+from qbracelet.products import ProductSpec, product_series
 from qbracelet.theta import (
     PrimeContext,
     UnsupportedSpecializationError,
@@ -15,8 +15,8 @@ from qbracelet.theta import (
 
 def test_theta_is_euler_function():
     # f(-q, -q^2) = (q;q)oo, product computed by the binomial chain
-    assert theta_f(1, 2, -1, -1, 100) == pochhammer_series(
-        PochhammerFactor(-1, 1, 1, 1), 100
+    assert theta_f(1, 2, -1, -1, 100) == product_series(
+        ProductSpec.of((-1, 1, 1, 1)), 100
     )
 
 
