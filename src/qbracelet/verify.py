@@ -108,9 +108,11 @@ def progression(series: TruncatedSeries, step: int, residue: int, n_max: int) ->
     """Coefficients at ``step * n + residue`` for n = 0..n_max.
 
     ``residue >= step`` is allowed, since large family parameters
-    legitimately produce it.  A series too short to reach n = n_max is an
-    error, never a shorter list.
+    legitimately produce it.  A negative ``n_max``, or a series too short
+    to reach n = n_max, is an error, never a shorter list.
     """
+    if n_max < 0:
+        raise ValueError(f"progression n_max must be >= 0, got {n_max}")
     last = step * n_max + residue
     if last > series.order:
         raise ValueError(

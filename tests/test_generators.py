@@ -1,6 +1,9 @@
 """Generating functions of the partition families and the Ramanujan
 eta-quotients."""
 
+import hashlib
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -335,3 +338,77 @@ def test_eta_quotient_mod_m_is_exact_reduced(case):
     assert exact == product_series(spec, n, EXACT)
     if modulus is not None:
         assert eta_quotient(exponents, n, Mod(modulus)) == exact.reduce_mod(modulus)
+
+
+# The catalog builds that take the strided product, at their verify --all
+# orders, with the SHA-256 of their coefficients from the dense route.
+STRIDED_BUILDS = [
+    ("bracelet:125", 5, 25052,
+     "0d9c0e20dec79682947db540692f5bd6bb987a74ab33c6189c15f683b4dd79c9"),
+    ("bracelet:11", 11, 9822,
+     "f746e32bfabda898c04c1d29675c223ac8219f5a74a5f94eeba84f84cb32afee"),
+    ("bracelet:7", 7, 3994,
+     "ef523cc2023a4647f3477298cb8ea83ab484b8b811704f32978c16baac9f55c5"),
+    ("bracelet:25", 5, 2522,
+     "645b2b87a84d500ed2d63d0956dc1e66e3732230c63279b494077fc530c923b9"),
+    ("bracelet:5", 5, 2042,
+     "2628873fe198de77d19ec87cbf557b91a727391ec02b59b1bb7a150811483e8f"),
+]
+
+
+@pytest.mark.parametrize(
+    "key, m, n, digest", STRIDED_BUILDS, ids=[f"{b[0]}-mod{b[1]}" for b in STRIDED_BUILDS]
+)
+def test_strided_builds_at_full_order(key, m, n, digest):
+    coeffs = expand_source(parse_source(key), Mod(m), n).coeffs
+    assert hashlib.sha256(",".join(map(str, coeffs)).encode()).hexdigest() == digest
+
+
+def test_bracelet_125_mod_5_convolves_at_the_compact_order_only(kernel_calls):
+    # {2: 1, 250: -1} at order 25,052 // 2: 1/(q^125;q^125) is inverted as
+    # 1/(q;q) at order 12,526 // 125 = 100, and (q;q) is multiplied in by
+    # strided slices, with no convolution
+    conv_mod_calls = kernel_calls("conv_mod")
+    expand_source(bracelet_source(125), Mod(5), 25052)
+    assert conv_mod_calls
+    assert max(n_out for _, _, n_out, _ in conv_mod_calls) <= 100
+
+
+STRIDED_MODULI = (3, 5, 7, 9, 12, 25, 121)
+
+
+@st.composite
+def shared_denominator_cases(draw):
+    """Eta maps with a numerator and with denominator steps sharing a gcd
+    h > 1, all steps sharing g >= 1; numerator factors up to the cube make
+    dense numerators, single first powers sparse ones."""
+    g = draw(st.integers(1, 3))
+    h = draw(st.integers(2, 6))
+    n = draw(st.integers(1, 300))
+    den = draw(st.dictionaries(
+        st.integers(1, 6).map(lambda k: g * h * k), st.integers(-3, -1),
+        min_size=1, max_size=2,
+    ))
+    num = draw(st.dictionaries(
+        st.integers(1, 12).map(lambda k: g * k), st.integers(1, 3),
+        min_size=1, max_size=2,
+    ))
+    exponents = dict(den)
+    for t, e in num.items():
+        exponents[t] = exponents.get(t, 0) + e
+    return exponents, n
+
+
+@settings(max_examples=100, deadline=None)
+@given(shared_denominator_cases())
+def test_strided_and_dense_products_match_the_definition(case):
+    # both products, forced in turn, against binomial chains with no Newton
+    # step, over prime, prime-power and composite rings
+    exponents, n = case
+    spec = ProductSpec.of(*((-1, t, t, e) for t, e in exponents.items() if e))
+    definition = product_series(spec, n, EXACT)
+    for ratio in (0, n + 1):  # never strided, always strided
+        with mock.patch.object(generators, "STRIDED_PRODUCT_RATIO", ratio):
+            for m in STRIDED_MODULI:
+                got = eta_quotient(exponents, n, Mod(m))
+                assert got == definition.reduce_mod(m), (ratio, m)

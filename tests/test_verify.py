@@ -223,6 +223,19 @@ def test_progression_short_of_n_max_is_an_error():
         progression(series, 3, 2, 5)
 
 
+def test_progression_refuses_a_negative_n_max():
+    # the slice end would wrap: [1] here instead of an error
+    with pytest.raises(ValueError, match="n_max must be >= 0, got -3"):
+        progression(TruncatedSeries(EXACT, [1, 2, 3]), 1, 0, -3)
+
+
+def test_progression_refuses_n_max_minus_one():
+    # 5n+4 to n=-1 would be the empty list
+    x = TruncatedSeries(EXACT, list(range(10)))
+    with pytest.raises(ValueError, match="n_max must be >= 0, got -1"):
+        progression(x, 5, 4, -1)
+
+
 def test_series_congruence_failure_reports_residual():
     # deliberately wrong sign on C14's right-hand side
     claims, _ = resolve_selection(["C14[p=5,r=1,a=1]"])
