@@ -70,11 +70,12 @@ from .theta import euler_series, pentagonal_terms
 # The strided product of a numerator with nnz(N) nonzero terms by an
 # inverse in q^h costs nnz(N) * (m // h + 1) slice steps; it is taken while
 # that is at most this many times the m + 1 coefficients of the dense
-# product.  Measured on CPython 3.11, 2-CPU x86-64, pentagonal and
-# multi-factor numerators at m = 150..25,000: strided and dense break even
-# at ratios near 10 for m <= 1000 and near 40-90 for m >= 6000, and 32
-# gave the least total time without a loss past 4x on any case.
-STRIDED_PRODUCT_RATIO = 32
+# product.  Set from the workloads (CPython 3.11, 2-CPU x86-64): the five
+# strided builds of `verify --all` (bracelet:125, 25 and 5 mod 5, 7 mod 7,
+# 11 mod 11) have ratios 1.5 to 10.5, bracelet:10 mod 5 at ratio 14.8 is
+# faster dense (0.7 against 1.1 ms), and product_mix's eta-quotients at
+# order <= 600 gain nothing from strided past ratio 11.
+STRIDED_PRODUCT_RATIO = 11
 
 
 def _frobenius_split(exponents: dict[int, int], p: int) -> dict[int, int]:
