@@ -21,7 +21,10 @@ order n // t and inflated by t; every other factor is applied |e_t| times
 in place, multiplying by shift-and-add or dividing by the bottom-up
 recurrence f_i = c_i - sum_j s_j f_{i-j}.  That is O(n sqrt n)
 small-by-bignum operations, where the convolutions and Newton inversion
-of the modular route would multiply bignums of hundreds of bits.
+of the modular route would multiply bignums of hundreds of bits.  A
+non-lead |e_t| so large that its passes would cost more than one exact
+product is raised by the power recurrence too and multiplied in, so no
+cost grows linearly in |e_t|.
 
 Over Z/2: one bitset, no convolution.  Mod 2, (q^t;q^t)^{2^k} ==
 (q^{t 2^k};q^{t 2^k}), which is 1 up to q^n once t 2^k > n.  So each
@@ -183,27 +186,43 @@ def _divide(cs: list[int], terms: list[tuple[int, int]]) -> None:
     cs[:] = f[top:]
 
 
+def _eta_power(t: int, e: int, n: int) -> list[int]:
+    """(q^t;q^t)^e over Z to order n: the power recurrence at order n // t
+    (the pentagonal terms themselves when e == 1), inflated by t."""
+    m = n // t
+    g = euler_series(m).coeffs if e == 1 else _power(pentagonal_terms(m), e, m)
+    cs = [0] * (n + 1)
+    cs[::t] = g
+    return cs
+
+
 def _pentagonal_quotient(live: dict[int, int], n: int) -> TruncatedSeries:
     """prod_t (q^t;q^t)^{e_t} over Z to order n, for nonzero e_t and
-    1 <= t <= n, with no convolution: the lead factor (largest |e_t|,
-    then smallest t) by the power recurrence at order n // t, inflated by
-    t; every other factor applied |e_t| times in place."""
+    1 <= t <= n: the lead factor (largest |e_t|, then smallest t) by the
+    power recurrence; every other factor applied |e_t| times in place,
+    unless that costs more than raising it by the recurrence and
+    multiplying it in once."""
     if not live:
         return TruncatedSeries.one(EXACT, n)
     lead = min(live, key=lambda t: (-abs(live[t]), t))
-    m = n // lead
-    if live[lead] == 1:
-        g = euler_series(m).coeffs
-    else:
-        g = _power(pentagonal_terms(m), live[lead], m)
-    cs = [0] * (n + 1)
-    cs[::lead] = g
+    cs = _eta_power(lead, live[lead], n)
+    powers = []
     for t, e in sorted(live.items()):
-        if t != lead:
-            terms = pentagonal_terms(n, t)
-            for _ in range(abs(e)):
-                (_multiply if e > 0 else _divide)(cs, terms)
-    return TruncatedSeries(EXACT, cs, normalize=False)
+        if t == lead:
+            continue
+        terms = pentagonal_terms(n, t)
+        # Slice steps per coefficient of |e| passes in place, a division
+        # pass costing about three multiplication passes.  The exact product
+        # of the other route came to n / 4 to n of them for |e| = 2 to 6 at
+        # n = 300 and 2000 (CPython 3.11, 2-CPU x86-64); one pass is always
+        # cheaper than the recurrence it would replace.
+        in_place = abs(e) * len(terms) * (1 if e > 0 else 3)
+        if abs(e) > 1 and in_place > n:
+            powers.append(TruncatedSeries(EXACT, _eta_power(t, e, n), normalize=False))
+            continue
+        for _ in range(abs(e)):
+            (_multiply if e > 0 else _divide)(cs, terms)
+    return reduce(mul, powers, TruncatedSeries(EXACT, cs, normalize=False))
 
 
 _BITS = bytes.maketrans(b"01", b"\x00\x01")

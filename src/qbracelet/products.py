@@ -8,6 +8,18 @@ Expansion here is definitional: each factor is multiplied out, or divided
 out, one binomial 1 + sign*q^m at a time, with no series inversion.  That
 keeps this code an independent cross-check for the eta-quotient expander in
 :mod:`qbracelet.generators`, whose modular route inverts by Newton iteration.
+
+The ring picks the chain.  Over Z it runs on a list: one slice add per
+binomial, or per block of a division.  Over Z/M it runs on one int of
+signed byte lanes, where each binomial is one shift-add and the lanes are
+reduced mod M only before one could overflow (:func:`_packed_chain`).
+There a division by 1 - x is a product of binomials 1 + x^(2^i), and one
+by 1 + x is that times 1 - x, so the packed route is still definitional:
+it makes no ``invert``, no Newton step, no Frobenius split and no
+``conv_mod``.  It shares only the lane packing helpers of
+:mod:`qbracelet._kernel` with that expander, which is why the tests check
+it against a plain list loop.  Packed lanes do not pay over Z, where exact
+lanes grow wide and each division costs log2(n/m) shift-adds.
 """
 
 from __future__ import annotations
@@ -16,8 +28,9 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
 from operator import add, mul, sub
-from typing import NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
+from . import _kernel
 from .rings import EXACT, CoefficientRing
 from .series import TruncatedSeries
 
@@ -129,18 +142,74 @@ class ProductSpec:
         return text
 
 
+# Spare bytes in each lane of a packed chain above the bytes of M - 1: a
+# shift-add at most doubles a lane, so 8 * LANE_HEADROOM - 1 of them fit
+# between two reductions mod M.
+LANE_HEADROOM = 7
+
+
+def _packed_chain(shifts: Iterable[tuple[int, int]], n: int, m: int) -> list[int]:
+    """Coefficients 0..n, reduced mod m, of the product of the binomials
+    1 + sign q^s over the (s, sign) pairs, 1 <= s <= n.
+
+    The series is one int of signed lanes, c_i in lane n + 1 - i, so a
+    right shift by s lanes is multiplication by q^s truncated at q^n, and
+    each binomial is one shift-add.  ``bound`` bounds every |c_i|: the
+    lanes are unpacked and reduced mod m only before a doubling could reach
+    the largest value a signed lane holds, and once at the end.  Lane 0,
+    never read, takes the q^(n+1) terms and the borrow of each right shift:
+    at most bound + 1 a shift, which sums to less than the bound plus the
+    shifts since the last reduction, so it stays in range too.
+    """
+    lane = ((m - 1).bit_length() + 7) // 8 + LANE_HEADROOM
+    bits = 8 * lane
+    half = 1 << (bits - 1)  # a lane holds [-half, half)
+    count = n + 2
+    halves = _kernel._repeat(half, lane, count)
+
+    def reduced(packed: int) -> list[int]:
+        lanes = _kernel._unpack(packed + halves, lane, count)
+        return [(c - half) % m for c in lanes[:0:-1]]
+
+    packed, bound = 1 << (bits * (n + 1)), 1
+    for s, sign in shifts:
+        if 2 * bound >= half:
+            packed, bound = _kernel._pack([0, *reversed(reduced(packed))], lane), m - 1
+        shifted = packed >> (bits * s)
+        packed = packed + shifted if sign > 0 else packed - shifted
+        bound *= 2
+    return reduced(packed)
+
+
+def _inverse_shifts(
+    sign: int, offset: int, step: int, n: int
+) -> Iterator[tuple[int, int]]:
+    """The binomials whose product is 1 / (sign q^offset; q^step)_inf to
+    order n: 1/(1 - x) = prod_{i>=0} (1 + x^(2^i)) and
+    1/(1 + x) = (1 - x) prod_{i>=1} (1 + x^(2^i)), x = q^m, up to q^n."""
+    for m in range(offset, n + 1, step):
+        if sign > 0:
+            yield m, -1
+            m *= 2
+        while m <= n:
+            yield m, 1
+            m *= 2
+
+
 def pochhammer_base(
     sign: int, offset: int, step: int, n: int, ring: CoefficientRing = EXACT
 ) -> TruncatedSeries:
     """Expand (sign q^offset; q^step)_inf to order n, one binomial at a time."""
+    binomials = range(offset, n + 1, step)
+    if ring.modulus is not None:
+        cs = _packed_chain(((m, sign) for m in binomials), n, ring.modulus)
+        return TruncatedSeries(ring, cs, normalize=False)
     op = add if sign > 0 else sub
-    mod = ring.modulus
     cs = [0] * (n + 1)
     cs[0] = 1
-    for m in range(offset, n + 1, step):
+    for m in binomials:
         # multiply by (1 + sign q^m); both slices are read before the write
-        shifted = map(op, cs[m:], cs[: n + 1 - m])
-        cs[m:] = shifted if mod is None else [c % mod for c in shifted]
+        cs[m:] = map(op, cs[m:], cs[: n + 1 - m])
     return TruncatedSeries(ring, cs, normalize=False)
 
 
@@ -148,17 +217,19 @@ def pochhammer_inverse(
     sign: int, offset: int, step: int, n: int, ring: CoefficientRing = EXACT
 ) -> TruncatedSeries:
     """Expand 1 / (sign q^offset; q^step)_inf to order n, dividing by one
-    binomial 1 + sign q^m at a time: f_i = c_i - sign f_{i-m}, bottom-up."""
+    binomial 1 + sign q^m at a time.  Over Z/M each division is a packed
+    chain of multiplications (see :func:`_inverse_shifts`); over Z it is
+    f_i = c_i - sign f_{i-m}, bottom-up."""
+    if ring.modulus is not None:
+        cs = _packed_chain(_inverse_shifts(sign, offset, step, n), n, ring.modulus)
+        return TruncatedSeries(ring, cs, normalize=False)
     op = sub if sign > 0 else add
-    mod = ring.modulus
     cs = [0] * (n + 1)
     cs[0] = 1
     for m in range(offset, n + 1, step):
         # m coefficients per slice, each reading the block already divided
         for j in range(m, n + 1, m):
             cs[j : j + m] = map(op, cs[j : j + m], cs[j - m : j])
-        if mod is not None:
-            cs[m:] = [c % mod for c in cs[m:]]
     return TruncatedSeries(ring, cs, normalize=False)
 
 

@@ -4,6 +4,9 @@ import csv
 import dataclasses
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -11,7 +14,7 @@ from click.testing import CliRunner
 
 from qbracelet.claims import CongruenceClaim, resolve_selection
 from qbracelet.cli import _verify_csv, _verify_text, main
-from qbracelet.products import ProductSpec
+from qbracelet.products import ProductSpec, product_series
 from qbracelet.sources import (
     bracelet_source,
     euler_source,
@@ -68,6 +71,23 @@ def test_coeffs_json_format(runner):
 def test_coeffs_product_source(runner):
     result = run(runner, "coeffs", "product:-1,1,1,-1", "9")
     assert result.output.strip() == "1 1 2 3 5 7 11 15 22 30"
+
+
+def test_coeffs_huge_non_lead_exponent_returns(tmp_path):
+    # (-q;q)^e is the eta-quotient {1: -e, 2: e}; the factor at t = 2 is not
+    # the lead, and applying it e times in place would never end
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    key = "1,1,1,99999999999999"
+    result = subprocess.run(
+        [sys.executable, "-c", "from qbracelet.cli import main; main()",
+         "coeffs", f"product:{key}", "5"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=30,
+    )
+    assert result.returncode == 0, result.stderr
+    expected = product_series(ProductSpec.parse(key), 5).coeffs
+    assert [int(c) for c in result.stdout.split()] == expected
 
 
 def test_coeffs_unknown_source_fails(runner):

@@ -1,12 +1,14 @@
 """Pochhammer factor expansion, product assembly and the normal form."""
 
 from itertools import permutations
+from math import comb
+from operator import add, sub
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qbracelet import EXACT, Mod, TruncatedSeries
+from qbracelet import EXACT, Mod, TruncatedSeries, products, theta
 from qbracelet.generators import bracelet_definition_spec, euler_quintic_rhs
 from qbracelet.oracles import count_partitions
 from qbracelet.products import (
@@ -102,6 +104,81 @@ def test_division_chain_inverts_binomial_chain(modulus, sign, offset, step):
     )
     exact = pochhammer_inverse(sign, offset, step, 60)
     assert inverse == (exact if modulus is None else exact.reduce_mod(modulus))
+
+
+def list_chain(sign, offset, step, n, modulus, divide):
+    """1 / (sign q^offset; q^step)_inf when divide, else the product itself,
+    to order n mod modulus: one binomial 1 + sign q^m at a time on a plain
+    list, reduced after each.  It shares no code with the packed chain."""
+    op = (sub if sign > 0 else add) if divide else (add if sign > 0 else sub)
+    cs = [1] + [0] * n
+    for m in range(offset, n + 1, step):
+        if divide:
+            # f_i = c_i - sign f_{i-m}, bottom-up, m coefficients per slice
+            for j in range(m, n + 1, m):
+                cs[j : j + m] = map(op, cs[j : j + m], cs[j - m : j])
+        else:
+            cs[m:] = map(op, cs[m:], cs[: n + 1 - m])
+        cs = [c % modulus for c in cs]
+    return cs
+
+
+# rings of the packed chain tests: small, composite and prime-power moduli,
+# and moduli whose M - 1 takes 8, 9 and 16 bytes
+CHAIN_MODULI = [2, 3, 12, 121, 2**61 - 1, 2**64 + 13, 2**127 - 1]
+
+
+@st.composite
+def chains(draw):
+    step = draw(st.integers(1, 12))
+    return draw(st.sampled_from((-1, 1))), draw(st.integers(1, step)), step
+
+
+@settings(max_examples=150, deadline=None)
+@given(chains(), st.integers(0, 400), st.sampled_from(CHAIN_MODULI), st.booleans())
+@example((1, 1, 1), 400, 2**64 + 13, True)
+@example((-1, 1, 1), 400, 2**127 - 1, False)
+def test_packed_chains_match_list_chains(chain, n, modulus, divide):
+    build = pochhammer_inverse if divide else pochhammer_base
+    got = build(*chain, n, Mod(modulus))
+    assert got.coeffs == list_chain(*chain, n, modulus, divide)
+
+
+@pytest.mark.parametrize("n", [200, 400])
+def test_packed_chain_reduces_before_a_lane_overflows(n):
+    # (1 + q)^k / (1 - q): from index k on every coefficient is 2^k, so each
+    # shift-add doubles these flat lanes exactly.  Mod 3 they reduce to
+    # 2^j mod 3, which is 2 = M - 1 for odd j, and one of the two prefix
+    # lengths of 1 / (1 - q) makes the first reduction come at an odd j:
+    # the flat lanes then double up to the very bound the chain tracks, and
+    # a reduction one doubling late overflows them
+    k = 140
+    shifts = [(1 << i, 1) for i in range(n.bit_length())] + [(1, 1)] * k
+    expected = [sum(comb(k, i) for i in range(j + 1)) % 3 for j in range(n + 1)]
+    assert products._packed_chain(shifts, n, 3) == expected
+
+
+def test_chains_are_called_through_their_module_names(monkeypatch):
+    # the benchmark's tracer sees a chain only if callers look it up on the
+    # module at call time
+    calls = []
+
+    def counting(name, real):
+        def wrapped(*args):
+            calls.append(name)
+            return real(*args)
+
+        return wrapped
+
+    for module in (products, theta):
+        for name in ("pochhammer_base", "pochhammer_inverse"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    product_series(ProductSpec.parse("-1,1,3,2;1,2,5,-1"), 50, Mod(7))
+    assert calls == ["pochhammer_base", "pochhammer_inverse"]
+    calls.clear()
+    assert theta.jacobi_triple_check(0, 1, 40)
+    assert calls == ["pochhammer_base"] * 3
 
 
 @pytest.mark.parametrize(
