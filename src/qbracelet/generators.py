@@ -14,17 +14,17 @@ eta-quotient prod_t (q^t;q^t)^{e_t} with exponent map
 any other factors to the binomial chains of :func:`product_series`.
 :func:`eta_quotient` has three routes, chosen by the ring.
 
-Over Z: pentagonal recurrences, no convolution.  Each (q^t;q^t) has about
+Over Z: pentagonal recurrences.  Each (q^t;q^t) has about
 2 sqrt(2n/3t) nonzero terms up to q^n.  The factor with the largest |e_t|
 (then the smallest t) is raised to its power by Miller's recurrence at
-order n // t and inflated by t; every other factor is applied |e_t| times
-in place, multiplying by shift-and-add or dividing by the bottom-up
-recurrence f_i = c_i - sum_j s_j f_{i-j}.  That is O(n sqrt n)
+order n // t and inflated by t; every other factor with |e_t| == 1 is
+applied in place, multiplying by shift-and-add or dividing by the
+bottom-up recurrence f_i = c_i - sum_j s_j f_{i-j}.  That is O(n sqrt n)
 small-by-bignum operations, where the convolutions and Newton inversion
 of the modular route would multiply bignums of hundreds of bits.  A
-non-lead |e_t| so large that its passes would cost more than one exact
-product is raised by the power recurrence too and multiplied in, so no
-cost grows linearly in |e_t|.
+non-lead factor with |e_t| > 1 is raised by the power recurrence too and
+multiplied in once, so no cost grows with |e_t|; only such a quotient
+makes a convolution here.
 
 Over Z/2: one bitset, no convolution.  Mod 2, (q^t;q^t)^{2^k} ==
 (q^{t 2^k};q^{t 2^k}), which is 1 up to q^n once t 2^k > n.  So each
@@ -199,9 +199,9 @@ def _eta_power(t: int, e: int, n: int) -> list[int]:
 def _pentagonal_quotient(live: dict[int, int], n: int) -> TruncatedSeries:
     """prod_t (q^t;q^t)^{e_t} over Z to order n, for nonzero e_t and
     1 <= t <= n: the lead factor (largest |e_t|, then smallest t) by the
-    power recurrence; every other factor applied |e_t| times in place,
-    unless that costs more than raising it by the recurrence and
-    multiplying it in once."""
+    power recurrence; every other factor applied in place when |e_t| == 1,
+    else raised by the recurrence and multiplied in once, so the cost does
+    not grow with |e_t|."""
     if not live:
         return TruncatedSeries.one(EXACT, n)
     lead = min(live, key=lambda t: (-abs(live[t]), t))
@@ -210,18 +210,10 @@ def _pentagonal_quotient(live: dict[int, int], n: int) -> TruncatedSeries:
     for t, e in sorted(live.items()):
         if t == lead:
             continue
-        terms = pentagonal_terms(n, t)
-        # Slice steps per coefficient of |e| passes in place, a division
-        # pass costing about three multiplication passes.  The exact product
-        # of the other route came to n / 4 to n of them for |e| = 2 to 6 at
-        # n = 300 and 2000 (CPython 3.11, 2-CPU x86-64); one pass is always
-        # cheaper than the recurrence it would replace.
-        in_place = abs(e) * len(terms) * (1 if e > 0 else 3)
-        if abs(e) > 1 and in_place > n:
+        if abs(e) > 1:
             powers.append(TruncatedSeries(EXACT, _eta_power(t, e, n), normalize=False))
-            continue
-        for _ in range(abs(e)):
-            (_multiply if e > 0 else _divide)(cs, terms)
+        else:
+            (_multiply if e > 0 else _divide)(cs, pentagonal_terms(n, t))
     return reduce(mul, powers, TruncatedSeries(EXACT, cs, normalize=False))
 
 

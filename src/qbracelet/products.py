@@ -18,8 +18,10 @@ by 1 + x is that times 1 - x, so the packed route is still definitional:
 it makes no ``invert``, no Newton step, no Frobenius split and no
 ``conv_mod``.  It shares only the lane packing helpers of
 :mod:`qbracelet._kernel` with that expander, which is why the tests check
-it against a plain list loop.  Packed lanes do not pay over Z, where exact
-lanes grow wide and each division costs log2(n/m) shift-adds.
+it against a plain list loop.  Over Z the list loops stay: packed lanes,
+widened as the exact coefficients grow, timed both faster (on a chain of
+products) and slower (on one of divisions, each of which costs log2(n/m)
+shift-adds), so the exact chains were left as they were.
 """
 
 from __future__ import annotations
@@ -200,6 +202,7 @@ def pochhammer_base(
     sign: int, offset: int, step: int, n: int, ring: CoefficientRing = EXACT
 ) -> TruncatedSeries:
     """Expand (sign q^offset; q^step)_inf to order n, one binomial at a time."""
+    PochhammerFactor(sign, offset, step)  # raises ValueError on a bad base
     binomials = range(offset, n + 1, step)
     if ring.modulus is not None:
         cs = _packed_chain(((m, sign) for m in binomials), n, ring.modulus)
@@ -220,6 +223,7 @@ def pochhammer_inverse(
     binomial 1 + sign q^m at a time.  Over Z/M each division is a packed
     chain of multiplications (see :func:`_inverse_shifts`); over Z it is
     f_i = c_i - sign f_{i-m}, bottom-up."""
+    PochhammerFactor(sign, offset, step)  # raises ValueError on a bad base
     if ring.modulus is not None:
         cs = _packed_chain(_inverse_shifts(sign, offset, step, n), n, ring.modulus)
         return TruncatedSeries(ring, cs, normalize=False)

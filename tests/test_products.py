@@ -48,6 +48,15 @@ def test_factor_validation():
         PochhammerFactor(-1, 1, 0, 1)
 
 
+@pytest.mark.parametrize("ring", [EXACT, Mod(7)])
+@pytest.mark.parametrize("build", [pochhammer_base, pochhammer_inverse])
+@pytest.mark.parametrize("base", [(-1, 0, 1), (1, 1, 0), (0, 1, 1)])
+def test_chain_validation(build, base, ring):
+    # over Z/M a division by offset 0 would double m = 0 forever
+    with pytest.raises(ValueError):
+        build(*base, 5, ring)
+
+
 def test_empty_spec_is_one():
     assert product_series(ProductSpec(), 7) == TruncatedSeries.one(EXACT, 7)
 
