@@ -20,7 +20,9 @@ the whole family empty (an allowed but contentless statement) raise
 
 from __future__ import annotations
 
+import math
 import re
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
@@ -98,6 +100,14 @@ def _check(cond: bool, message: str) -> None:
         raise InstantiationError(message)
 
 
+def _power(base: int, exponent: int) -> int:
+    """base ** exponent; refused, before it is computed, if too long to print."""
+    limit = sys.get_int_max_str_digits()
+    too_long = limit and exponent >= limit / math.log10(base)
+    _check(not too_long, f"{base}^{exponent} has more than {limit} digits")
+    return base**exponent
+
+
 def _exact_div(num: int, den: int, what: str) -> int:
     if num % den != 0:
         raise InstantiationError(f"{what}: {num} is not divisible by {den}")
@@ -159,7 +169,7 @@ def _emit_c1() -> dict:
 def _emit_c2(p: int, r: int) -> dict:
     _require_prime(p, 2)
     _check(r >= 1, f"r must be >= 1, got {r}")
-    k = p**r
+    k = _power(p, r)
     _check(k >= 3, f"k = p^r must be >= 3, got {k}")
     return dict(kind="vanishing", source=bracelet_source(k), step=2, residue=1, modulus=p)
 
@@ -183,10 +193,11 @@ def _emit_c3(p: int, m: int, s: int) -> dict:
 def _emit_c4(m: int, l: int) -> dict:
     _check(m >= 1, f"m must be >= 1, got {m}")
     _check(l >= 1 and l % 2 == 1, f"l must be odd and >= 1, got {l}")
-    k = 2**m * l
+    modulus = _power(2, m)
+    k = modulus * l
     _check(k >= 3, f"k = 2^m l must be >= 3, got {k}")
     return dict(
-        kind="vanishing", source=bracelet_source(k), step=2, residue=1, modulus=2**m
+        kind="vanishing", source=bracelet_source(k), step=2, residue=1, modulus=modulus
     )
 
 
@@ -238,8 +249,8 @@ def _emit_c10(p: int, a: int, i: int) -> dict:
     )
     _check(a >= 1, f"alpha must be >= 1, got {a}")
     _check(1 <= i <= p - 1, f"i must lie in 1..{p - 1}, got {i}")
-    step = 4 * p ** (2 * a)
-    residue = _exact_div((24 * i + 7 * p) * p ** (2 * a - 1) - 1, 6, "C10 residue")
+    step = 4 * _power(p, 2 * a)
+    residue = _exact_div((24 * i + 7 * p) * _power(p, 2 * a - 1) - 1, 6, "C10 residue")
     return dict(
         kind="vanishing", source=lregular_source(5), step=step, residue=residue,
         modulus=2, default_n_max=3,
@@ -253,8 +264,8 @@ def _emit_c11(v: int, a: int) -> dict:
     _check(v in _C11_TABLE, f"variant must be 1..4, got {v}")
     _check(a >= 0, f"alpha must be >= 0, got {a}")
     extra, c = _C11_TABLE[v]
-    step = 4 * 5 ** (2 * a + extra)
-    residue = _exact_div(c * 5 ** (2 * a + extra - 1) - 1, 6, "C11 residue")
+    step = 4 * _power(5, 2 * a + extra)
+    residue = _exact_div(c * _power(5, 2 * a + extra - 1) - 1, 6, "C11 residue")
     return dict(
         kind="vanishing", source=lregular_source(5), step=step, residue=residue,
         modulus=2, default_n_max=100 if a == 0 else 80,
@@ -269,8 +280,8 @@ def _emit_c12(p: int, a: int, i: int) -> dict:
     )
     _check(a >= 1, f"alpha must be >= 1, got {a}")
     _check(1 <= i <= p - 1, f"i must lie in 1..{p - 1}, got {i}")
-    step = 40 * p ** (2 * a)
-    residue = _exact_div(5 * (24 * i + 7 * p) * p ** (2 * a - 1) + 1, 3, "C12 residue")
+    step = 40 * _power(p, 2 * a)
+    residue = _exact_div(5 * (24 * i + 7 * p) * _power(p, 2 * a - 1) + 1, 3, "C12 residue")
     return dict(
         kind="vanishing", source=bracelet_source(5), step=step, residue=residue,
         modulus=2, default_n_max=2,
@@ -284,8 +295,8 @@ def _emit_c13(v: int, a: int) -> dict:
     _check(v in _C13_TABLE, f"variant must be 1..4, got {v}")
     _check(a >= 1, f"alpha must be >= 1, got {a}")
     extra, c = _C13_TABLE[v]
-    step = 8 * 5 ** (2 * a + extra)
-    residue = _exact_div(c * 5 ** (2 * a + extra - 1) + 1, 3, "C13 residue")
+    step = 8 * _power(5, 2 * a + extra)
+    residue = _exact_div(c * _power(5, 2 * a + extra - 1) + 1, 3, "C13 residue")
     return dict(
         kind="vanishing", source=bracelet_source(5), step=step, residue=residue,
         modulus=2, default_n_max=20,
@@ -296,10 +307,10 @@ def _emit_c14(p: int, r: int, a: int) -> dict:
     _require_prime(p)
     _check(r >= 1, f"r must be >= 1, got {r}")
     _check(a >= 1 and 2 * a <= r + 1, f"alpha must lie in 1..(r+1)/2, got {a}")
-    k = p**r
-    step = p ** (2 * a - 1)
-    residue = _exact_div(p ** (2 * a) - 1, 12, "C14 residue")
-    e = p ** (r - 2 * a + 1)
+    k = _power(p, r)
+    step = _power(p, 2 * a - 1)
+    residue = _exact_div(_power(p, 2 * a) - 1, 12, "C14 residue")
+    e = _power(p, r - 2 * a + 1)
     rhs = product_source(ProductSpec.of((-1, 2 * p, 2 * p, 1), (-1, 2 * e, 2 * e, -1)))
     sign = PrimeContext(p).epsilon ** a
     return dict(
@@ -317,10 +328,10 @@ def _emit_c15(p: int, r: int, a: int, i: int) -> dict:
         )
     _check(a >= 1 and 2 * a <= r, f"alpha must lie in 1..r/2, got {a}")
     _check(1 <= i <= p - 1, f"i must lie in 1..{p - 1}, got {i}")
-    step = p ** (2 * a)
-    residue = _exact_div((12 * i + p) * p ** (2 * a - 1) - 1, 12, "C15 residue")
+    step = _power(p, 2 * a)
+    residue = _exact_div((12 * i + p) * _power(p, 2 * a - 1) - 1, 12, "C15 residue")
     return dict(
-        kind="vanishing", source=bracelet_source(p**r), step=step, residue=residue,
+        kind="vanishing", source=bracelet_source(_power(p, r)), step=step, residue=residue,
         modulus=p, default_n_max=100,
     )
 
@@ -338,10 +349,10 @@ def _emit_c16(p: int, r: int, a: int, j: int) -> dict:
         legendre_symbol(12 * j + 1, p) == -1,
         f"12j+1 = {12 * j + 1} is not a quadratic nonresidue mod {p}",
     )
-    step = p ** (2 * a + 1)
-    residue = _exact_div((12 * j + 1) * p ** (2 * a) - 1, 12, "C16 residue")
+    step = _power(p, 2 * a + 1)
+    residue = _exact_div((12 * j + 1) * _power(p, 2 * a) - 1, 12, "C16 residue")
     return dict(
-        kind="vanishing", source=bracelet_source(p**r), step=step, residue=residue,
+        kind="vanishing", source=bracelet_source(_power(p, r)), step=step, residue=residue,
         modulus=p, default_n_max=40,
     )
 
@@ -350,9 +361,9 @@ def _emit_c17(p: int, a: int, v: int) -> dict:
     _require_prime(p)
     _check(a >= 1, f"alpha must be >= 1, got {a}")
     _check(v in (1, 2), f"variant must be 1 or 2, got {v}")
-    k = p ** (2 * a - 1)
-    step = 2 * p ** (2 * a - 1)
-    residue = _exact_div(p ** (2 * a) - 1, 12, "C17 residue")
+    k = _power(p, 2 * a - 1)
+    step = 2 * _power(p, 2 * a - 1)
+    residue = _exact_div(_power(p, 2 * a) - 1, 12, "C17 residue")
     if v == 1:
         rhs = lregular_source(p)
     else:
@@ -371,9 +382,9 @@ def _emit_c18(p: int, a: int) -> dict:
     _check(p in _C18_CONSTANTS, f"p must be 5, 7 or 11, got {p}")
     _check(a >= 1, f"alpha must be >= 1, got {a}")
     c = _C18_CONSTANTS[p]
-    k = p ** (2 * a - 1)
-    step = 2 * p ** (2 * a)
-    residue = _exact_div(c * p ** (2 * a - 1) - 1, 12, "C18 residue")
+    k = _power(p, 2 * a - 1)
+    step = 2 * _power(p, 2 * a)
+    residue = _exact_div(c * _power(p, 2 * a - 1) - 1, 12, "C18 residue")
     return dict(
         kind="vanishing", source=bracelet_source(k), step=step, residue=residue,
         modulus=p, default_n_max=40,
@@ -383,9 +394,9 @@ def _emit_c18(p: int, a: int) -> dict:
 def _emit_c19(p: int, a: int) -> dict:
     _require_prime(p)
     _check(a >= 1, f"alpha must be >= 1, got {a}")
-    k = p ** (2 * a)
-    step = p ** (2 * a - 1)
-    residue = _exact_div(p ** (2 * a) - 1, 12, "C19 residue")
+    k = _power(p, 2 * a)
+    step = _power(p, 2 * a - 1)
+    residue = _exact_div(_power(p, 2 * a) - 1, 12, "C19 residue")
     # C14 at r = 2a: the right side (q^{2p};q^{2p})/(q^{2p};q^{2p}) is 1
     return dict(
         kind="series", source=bracelet_source(k), step=step, residue=residue,

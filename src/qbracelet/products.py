@@ -9,19 +9,15 @@ out, one binomial 1 + sign*q^m at a time, with no series inversion.  That
 keeps this code an independent cross-check for the eta-quotient expander in
 :mod:`qbracelet.generators`, whose modular route inverts by Newton iteration.
 
-The ring picks the chain.  Over Z it runs on a list: one slice add per
-binomial, or per block of a division.  Over Z/M it runs on one int of
-signed byte lanes, where each binomial is one shift-add and the lanes are
-reduced mod M only before one could overflow (:func:`_packed_chain`).
-There a division by 1 - x is a product of binomials 1 + x^(2^i), and one
-by 1 + x is that times 1 - x, so the packed route is still definitional:
-it makes no ``invert``, no Newton step, no Frobenius split and no
-``conv_mod``.  It shares only the lane packing helpers of
+One chain serves both rings (:func:`_packed_chain`): the whole series is
+one int of signed byte lanes, each binomial is one shift-add, and only
+before a lane could overflow are the lanes reduced mod M, or over Z widened
+to fit the largest coefficient.  A division by 1 - x is a product of
+binomials 1 + x^(2^i), and one by 1 + x is that times 1 - x, so the chain
+is still definitional: it makes no ``invert``, no Newton step, no Frobenius
+split and no convolution.  It shares only the lane packing helpers of
 :mod:`qbracelet._kernel` with that expander, which is why the tests check
-it against a plain list loop.  Over Z the list loops stay: packed lanes,
-widened as the exact coefficients grow, timed both faster (on a chain of
-products) and slower (on one of divisions, each of which costs log2(n/m)
-shift-adds), so the exact chains were left as they were.
+it against a plain list loop.
 """
 
 from __future__ import annotations
@@ -29,7 +25,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
-from operator import add, mul, sub
+from operator import mul
 from typing import Iterable, Iterator, NamedTuple
 
 from . import _kernel
@@ -144,43 +140,55 @@ class ProductSpec:
         return text
 
 
-# Spare bytes in each lane of a packed chain above the bytes of M - 1: a
-# shift-add at most doubles a lane, so 8 * LANE_HEADROOM - 1 of them fit
-# between two reductions mod M.
+# Spare bytes in each lane of a packed chain above the bytes of the largest
+# |c| it was packed for: a shift-add at most doubles a lane, so 8 *
+# LANE_HEADROOM - 1 of them fit before the lanes are reduced, or widened.
 LANE_HEADROOM = 7
 
 
-def _packed_chain(shifts: Iterable[tuple[int, int]], n: int, m: int) -> list[int]:
-    """Coefficients 0..n, reduced mod m, of the product of the binomials
-    1 + sign q^s over the (s, sign) pairs, 1 <= s <= n.
+def _packed_chain(
+    shifts: Iterable[tuple[int, int]], n: int, m: int | None = None
+) -> list[int]:
+    """Coefficients 0..n, reduced mod m (exact when m is None), of the
+    product of the binomials 1 + sign q^s over the (s, sign) pairs, 1 <= s <= n.
 
     The series is one int of signed lanes, c_i in lane n + 1 - i, so a
     right shift by s lanes is multiplication by q^s truncated at q^n, and
-    each binomial is one shift-add.  ``bound`` bounds every |c_i|: the
-    lanes are unpacked and reduced mod m only before a doubling could reach
-    the largest value a signed lane holds, and once at the end.  Lane 0,
-    never read, takes the q^(n+1) terms and the borrow of each right shift:
-    at most bound + 1 a shift, which sums to less than the bound plus the
-    shifts since the last reduction, so it stays in range too.
+    each binomial is one shift-add.  ``bound`` bounds every |c_i|.  Only
+    before a doubling could reach the largest value a signed lane holds are
+    the lanes unpacked: then reduced mod m, or over Z repacked in lanes wide
+    enough for the new bound max |c_i|.  Lane 0, never read, takes the
+    q^(n+1) terms and the borrow of each right shift: at most bound + 1 a
+    shift, which sums to less than the bound plus the shifts since the last
+    repack, so it stays in range too.
     """
-    lane = ((m - 1).bit_length() + 7) // 8 + LANE_HEADROOM
-    bits = 8 * lane
-    half = 1 << (bits - 1)  # a lane holds [-half, half)
     count = n + 2
-    halves = _kernel._repeat(half, lane, count)
 
-    def reduced(packed: int) -> list[int]:
-        lanes = _kernel._unpack(packed + halves, lane, count)
-        return [(c - half) % m for c in lanes[:0:-1]]
+    def lanes(top: int) -> tuple[int, int, int, int]:
+        """Lane bytes and bits, half, and half in every lane, for |c| <= top."""
+        lane = (top.bit_length() + 7) // 8 + LANE_HEADROOM
+        half = 1 << (8 * lane - 1)  # a lane holds [-half, half)
+        return lane, 8 * lane, half, _kernel._repeat(half, lane, count)
 
+    def unpacked(packed: int) -> list[int]:
+        cs = _kernel._unpack(packed + halves, lane, count)[1:]
+        return [c - half for c in cs] if m is None else [(c - half) % m for c in cs]
+
+    lane, bits, half, halves = lanes(1 if m is None else m - 1)
     packed, bound = 1 << (bits * (n + 1)), 1
     for s, sign in shifts:
         if 2 * bound >= half:
-            packed, bound = _kernel._pack([0, *reversed(reduced(packed))], lane), m - 1
+            cs = unpacked(packed)
+            if m is None:
+                bound = max(map(abs, cs))
+                lane, bits, half, halves = lanes(bound)
+                packed = _kernel._pack([half, *(c + half for c in cs)], lane) - halves
+            else:
+                packed, bound = _kernel._pack([0, *cs], lane), m - 1
         shifted = packed >> (bits * s)
         packed = packed + shifted if sign > 0 else packed - shifted
         bound *= 2
-    return reduced(packed)
+    return unpacked(packed)[::-1]
 
 
 def _inverse_shifts(
@@ -203,38 +211,18 @@ def pochhammer_base(
 ) -> TruncatedSeries:
     """Expand (sign q^offset; q^step)_inf to order n, one binomial at a time."""
     PochhammerFactor(sign, offset, step)  # raises ValueError on a bad base
-    binomials = range(offset, n + 1, step)
-    if ring.modulus is not None:
-        cs = _packed_chain(((m, sign) for m in binomials), n, ring.modulus)
-        return TruncatedSeries(ring, cs, normalize=False)
-    op = add if sign > 0 else sub
-    cs = [0] * (n + 1)
-    cs[0] = 1
-    for m in binomials:
-        # multiply by (1 + sign q^m); both slices are read before the write
-        cs[m:] = map(op, cs[m:], cs[: n + 1 - m])
-    return TruncatedSeries(ring, cs, normalize=False)
+    binomials = ((m, sign) for m in range(offset, n + 1, step))
+    return TruncatedSeries(ring, _packed_chain(binomials, n, ring.modulus), normalize=False)
 
 
 def pochhammer_inverse(
     sign: int, offset: int, step: int, n: int, ring: CoefficientRing = EXACT
 ) -> TruncatedSeries:
     """Expand 1 / (sign q^offset; q^step)_inf to order n, dividing by one
-    binomial 1 + sign q^m at a time.  Over Z/M each division is a packed
-    chain of multiplications (see :func:`_inverse_shifts`); over Z it is
-    f_i = c_i - sign f_{i-m}, bottom-up."""
+    binomial at a time, each a chain of products (:func:`_inverse_shifts`)."""
     PochhammerFactor(sign, offset, step)  # raises ValueError on a bad base
-    if ring.modulus is not None:
-        cs = _packed_chain(_inverse_shifts(sign, offset, step, n), n, ring.modulus)
-        return TruncatedSeries(ring, cs, normalize=False)
-    op = sub if sign > 0 else add
-    cs = [0] * (n + 1)
-    cs[0] = 1
-    for m in range(offset, n + 1, step):
-        # m coefficients per slice, each reading the block already divided
-        for j in range(m, n + 1, m):
-            cs[j : j + m] = map(op, cs[j : j + m], cs[j - m : j])
-    return TruncatedSeries(ring, cs, normalize=False)
+    binomials = _inverse_shifts(sign, offset, step, n)
+    return TruncatedSeries(ring, _packed_chain(binomials, n, ring.modulus), normalize=False)
 
 
 def product_series(

@@ -73,21 +73,52 @@ def test_coeffs_product_source(runner):
     assert result.output.strip() == "1 1 2 3 5 7 11 15 22 30"
 
 
+def run_subprocess(cwd, *args):
+    """The CLI in a fresh interpreter on this checkout's sources; an input
+    that never returns fails by the 30 s timeout."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", "from qbracelet.cli import main; main()", *args],
+        cwd=cwd, env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, timeout=30,
+    )
+
+
 def test_coeffs_huge_non_lead_exponent_returns(tmp_path):
     # (-q;q)^e is the eta-quotient {1: -e, 2: e}; the factor at t = 2 is not
     # the lead, and applying it e times in place would never end
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
     key = "1,1,1,99999999999999"
-    result = subprocess.run(
-        [sys.executable, "-c", "from qbracelet.cli import main; main()",
-         "coeffs", f"product:{key}", "5"],
-        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=30,
-    )
+    result = run_subprocess(tmp_path, "coeffs", f"product:{key}", "5")
     assert result.returncode == 0, result.stderr
     expected = product_series(ProductSpec.parse(key), 5).coeffs
     assert [int(c) for c in result.stdout.split()] == expected
+
+
+@pytest.mark.parametrize(
+    "claim, power",
+    [
+        # its message used to format 5^100000, past the int-to-str limit
+        ("C2[p=5,r=100000]", "5^100000"),
+        # these used to compute p^r for as long as one cared to wait
+        ("C2[p=5,r=100000000]", "5^100000000"),
+        ("C14[p=5,r=1000000000,a=1]", "5^1000000000"),
+    ],
+)
+def test_verify_refuses_a_power_too_long_to_print(tmp_path, claim, power):
+    result = run_subprocess(tmp_path, "verify", "--claims", claim)
+    assert result.returncode == 1, result.stderr
+    limit = sys.get_int_max_str_digits()
+    assert result.stdout.splitlines() == [
+        f"{claim}: ERROR ({power} has more than {limit} digits)",
+        "-- 1 claims: 1 error",
+    ]
+
+
+def test_verify_checks_a_long_printable_power(runner):
+    result = run(runner, "verify", "--claims", "C2[p=5,r=3000]")
+    assert result.exit_code == 0
+    assert result.output.endswith("-- 1 claims: 1 pass\n")
 
 
 def test_coeffs_unknown_source_fails(runner):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from qbracelet import EXACT, Mod, TruncatedSeries, products, theta
 from qbracelet.generators import bracelet_definition_spec, euler_quintic_rhs
-from qbracelet.oracles import count_partitions
+from qbracelet.oracles import count_partitions, partition_numbers
 from qbracelet.products import (
     PochhammerFactor,
     ProductSpec,
@@ -37,6 +37,12 @@ def test_zero_exponent_is_one():
 def test_negative_exponent_gives_partition_numbers():
     s = product_series(ProductSpec.of((-1, 1, 1, -1)), 9)
     assert s.coeffs == [count_partitions(n) for n in range(10)]
+
+
+def test_exact_division_chain_gives_partition_numbers():
+    # 1/(q;q) by the exact chain, whose lanes widen well past 8 bytes by
+    # q^2000, against the pentagonal recurrence
+    assert pochhammer_inverse(-1, 1, 1, 2000).coeffs == partition_numbers(2000)
 
 
 def test_factor_validation():
@@ -117,8 +123,9 @@ def test_division_chain_inverts_binomial_chain(modulus, sign, offset, step):
 
 def list_chain(sign, offset, step, n, modulus, divide):
     """1 / (sign q^offset; q^step)_inf when divide, else the product itself,
-    to order n mod modulus: one binomial 1 + sign q^m at a time on a plain
-    list, reduced after each.  It shares no code with the packed chain."""
+    to order n mod modulus (exact when modulus is None): one binomial
+    1 + sign q^m at a time on a plain list, reduced after each.  It shares
+    no code with the packed chain."""
     op = (sub if sign > 0 else add) if divide else (add if sign > 0 else sub)
     cs = [1] + [0] * n
     for m in range(offset, n + 1, step):
@@ -128,13 +135,14 @@ def list_chain(sign, offset, step, n, modulus, divide):
                 cs[j : j + m] = map(op, cs[j : j + m], cs[j - m : j])
         else:
             cs[m:] = map(op, cs[m:], cs[: n + 1 - m])
-        cs = [c % modulus for c in cs]
+        if modulus is not None:
+            cs = [c % modulus for c in cs]
     return cs
 
 
 # rings of the packed chain tests: small, composite and prime-power moduli,
-# and moduli whose M - 1 takes 8, 9 and 16 bytes
-CHAIN_MODULI = [2, 3, 12, 121, 2**61 - 1, 2**64 + 13, 2**127 - 1]
+# moduli whose M - 1 takes 8, 9 and 16 bytes, and None, the exact integers
+CHAIN_MODULI = [2, 3, 12, 121, 2**61 - 1, 2**64 + 13, 2**127 - 1, None]
 
 
 @st.composite
@@ -147,24 +155,39 @@ def chains(draw):
 @given(chains(), st.integers(0, 400), st.sampled_from(CHAIN_MODULI), st.booleans())
 @example((1, 1, 1), 400, 2**64 + 13, True)
 @example((-1, 1, 1), 400, 2**127 - 1, False)
+@example((1, 1, 1), 400, None, True)
 def test_packed_chains_match_list_chains(chain, n, modulus, divide):
     build = pochhammer_inverse if divide else pochhammer_base
-    got = build(*chain, n, Mod(modulus))
+    got = build(*chain, n, EXACT if modulus is None else Mod(modulus))
     assert got.coeffs == list_chain(*chain, n, modulus, divide)
+
+
+def flat_lane_chain(n, k=140):
+    """The binomials of (1 + q)^k / (1 - q) to order n, and its coefficients
+    sum_{i <= j} C(k, i).  From index k on every coefficient is 2^k, so each
+    shift-add doubles these flat lanes exactly."""
+    shifts = [(1 << i, 1) for i in range(n.bit_length())] + [(1, 1)] * k
+    return shifts, [sum(comb(k, i) for i in range(j + 1)) for j in range(n + 1)]
 
 
 @pytest.mark.parametrize("n", [200, 400])
 def test_packed_chain_reduces_before_a_lane_overflows(n):
-    # (1 + q)^k / (1 - q): from index k on every coefficient is 2^k, so each
-    # shift-add doubles these flat lanes exactly.  Mod 3 they reduce to
-    # 2^j mod 3, which is 2 = M - 1 for odd j, and one of the two prefix
-    # lengths of 1 / (1 - q) makes the first reduction come at an odd j:
+    # Mod 3 the flat lanes reduce to 2^j mod 3, which is 2 = M - 1 for odd
+    # j, and one of the two prefix lengths of 1 / (1 - q) makes the first
+    # reduction come at an odd j: the flat lanes then double up to the very
+    # bound the chain tracks, and a reduction one doubling late overflows them
+    shifts, expected = flat_lane_chain(n)
+    assert products._packed_chain(shifts, n, 3) == [c % 3 for c in expected]
+
+
+@pytest.mark.parametrize("n", [200, 400])
+def test_packed_chain_widens_before_a_lane_overflows(n):
+    # Over Z a widening sets the bound to the largest |c|, here a flat lane:
     # the flat lanes then double up to the very bound the chain tracks, and
-    # a reduction one doubling late overflows them
-    k = 140
-    shifts = [(1 << i, 1) for i in range(n.bit_length())] + [(1, 1)] * k
-    expected = [sum(comb(k, i) for i in range(j + 1)) % 3 for j in range(n + 1)]
-    assert products._packed_chain(shifts, n, 3) == expected
+    # a widening one doubling late overflows them.  Real chains stay far
+    # below the tracked bound, so only flat lanes catch that
+    shifts, expected = flat_lane_chain(n)
+    assert products._packed_chain(shifts, n) == expected
 
 
 def test_chains_are_called_through_their_module_names(monkeypatch):
