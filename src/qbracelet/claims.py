@@ -1,12 +1,12 @@
 """Machine-checkable congruence claims and the built-in catalog.
 
 Every claim says that the progression ``lhs(A n + B)`` equals
-``sign * rhs(n)``, the whole right series, modulo M; the three kinds differ
-only in the right side and the ring:
+``sign * rhs(n)``, the whole right series, modulo M.  Its kind is not
+stored; the modulus and the right side decide it:
 
 * ``vanishing``       no right side: the progression is 0 mod M;
 * ``series``          the right side is a signed second series, mod M;
-* ``identity``        two exact series agree coefficientwise (no modulus).
+* ``identity``        no modulus: two exact series agree coefficientwise.
 
 Every catalog entry is a :class:`ClaimFamily`.  A family without parameters
 (C1, C7, C8, C9) has one claim, whose id is the bare family id; C5, C6 and
@@ -26,6 +26,7 @@ import sys
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
+from .generators import l_regular_spec
 from .oracles import is_prime, legendre_symbol
 from .products import ProductSpec
 from .sources import (
@@ -52,7 +53,6 @@ class VacuousFamilyError(InstantiationError):
 @dataclass(frozen=True)
 class CongruenceClaim:
     claim_id: str
-    kind: str  # vanishing | series | identity
     source: SeriesSource
     step: int
     residue: int
@@ -63,18 +63,22 @@ class CongruenceClaim:
     params: tuple[tuple[str, int], ...] = ()
 
     def __post_init__(self) -> None:
-        if self.kind not in ("vanishing", "series", "identity"):
-            raise ValueError(f"{self.claim_id}: unknown claim kind {self.kind!r}")
-        if (self.rhs_source is None) != (self.kind == "vanishing"):
-            raise ValueError(f"{self.claim_id}: only a vanishing claim has no rhs_source")
-        if (self.modulus is None) != (self.kind == "identity"):
-            raise ValueError(f"{self.claim_id}: only an identity claim has no modulus")
+        if self.modulus is None and self.rhs_source is None:
+            raise ValueError(f"{self.claim_id}: a claim needs a modulus or an rhs_source")
         if self.modulus is not None and self.modulus < 2:
             raise ValueError(f"{self.claim_id}: modulus must be >= 2, got {self.modulus}")
         if self.step < 1:
             raise ValueError(f"{self.claim_id}: step must be >= 1")
         if min(self.residue, self.default_n_max) < 0:
             raise ValueError(f"{self.claim_id}: residue and n bound must be >= 0")
+
+    @property
+    def kind(self) -> str:
+        """``identity`` without a modulus, ``vanishing`` without a right
+        side, else ``series``."""
+        if self.modulus is None:
+            return "identity"
+        return "vanishing" if self.rhs_source is None else "series"
 
     def params_dict(self) -> dict[str, int]:
         return dict(self.params)
@@ -87,10 +91,7 @@ class CongruenceClaim:
             return f"{self.source.symbol()}({arg}) ≡ 0 (mod {self.modulus})"
         if self.kind == "series":
             sign = "-" if self.rhs_sign == -1 else ""
-            if self.rhs_source.kind in ("product", "euler", "quintic_euler"):
-                rhs = f"{sign}{self.rhs_source.symbol()}"
-            else:
-                rhs = f"{sign}Σ {self.rhs_source.symbol()}(n) q^n"
+            rhs = sign + self.rhs_source.series_symbol()
             return f"Σ {self.source.symbol()}({arg}) q^n ≡ {rhs} (mod {self.modulus})"
         return f"{self.source.symbol()} = {self.rhs_source.symbol()}"
 
@@ -100,9 +101,25 @@ def _check(cond: bool, message: str) -> None:
         raise InstantiationError(message)
 
 
+def int_str_limit() -> int:
+    """The most digits ``str`` gives an int (0: no limit).  Before Python
+    3.10.7 there is no ``sys.get_int_max_str_digits``; CPython's default,
+    4300, stands in for it."""
+    get = getattr(sys, "get_int_max_str_digits", None)
+    return get() if get else 4300
+
+
+def printable(n: int) -> bool:
+    """Whether ``str(n)`` keeps within :func:`int_str_limit`, decided
+    without printing ``n``."""
+    limit = int_str_limit()
+    digits = abs(n).bit_length() * math.log10(2)  # log10|n| < digits
+    return not limit or digits < limit or (digits < limit + 1 and abs(n) < 10**limit)
+
+
 def _power(base: int, exponent: int) -> int:
     """base ** exponent; refused, before it is computed, if too long to print."""
-    limit = sys.get_int_max_str_digits()
+    limit = int_str_limit()
     too_long = limit and exponent >= limit / math.log10(base)
     _check(not too_long, f"{base}^{exponent} has more than {limit} digits")
     return base**exponent
@@ -161,8 +178,7 @@ class ClaimFamily:
 
 def _emit_c1() -> dict:
     return dict(
-        kind="vanishing", source=broken_diamond_source(1), step=2, residue=1,
-        modulus=3, default_n_max=150,
+        source=broken_diamond_source(1), step=2, residue=1, modulus=3, default_n_max=150
     )
 
 
@@ -171,7 +187,7 @@ def _emit_c2(p: int, r: int) -> dict:
     _check(r >= 1, f"r must be >= 1, got {r}")
     k = _power(p, r)
     _check(k >= 3, f"k = p^r must be >= 3, got {k}")
-    return dict(kind="vanishing", source=bracelet_source(k), step=2, residue=1, modulus=p)
+    return dict(source=bracelet_source(k), step=2, residue=1, modulus=p)
 
 
 def _emit_c3(p: int, m: int, s: int) -> dict:
@@ -184,10 +200,7 @@ def _emit_c3(p: int, m: int, s: int) -> dict:
         legendre_symbol(12 * s + 1, p) == -1,
         f"12s+1 = {12 * s + 1} is not a quadratic nonresidue mod {p}",
     )
-    return dict(
-        kind="vanishing", source=bracelet_source(k), step=p, residue=s, modulus=p,
-        default_n_max=100,
-    )
+    return dict(source=bracelet_source(k), step=p, residue=s, modulus=p, default_n_max=100)
 
 
 def _emit_c4(m: int, l: int) -> dict:
@@ -196,9 +209,7 @@ def _emit_c4(m: int, l: int) -> dict:
     modulus = _power(2, m)
     k = modulus * l
     _check(k >= 3, f"k = 2^m l must be >= 3, got {k}")
-    return dict(
-        kind="vanishing", source=bracelet_source(k), step=2, residue=1, modulus=modulus
-    )
+    return dict(source=bracelet_source(k), step=2, residue=1, modulus=modulus)
 
 
 _C5_RESIDUES = {5: 7, 7: 11, 11: 21}
@@ -207,53 +218,46 @@ _C5_RESIDUES = {5: 7, 7: 11, 11: 21}
 def _emit_c5(k: int) -> dict:
     _check(k in _C5_RESIDUES, f"k must be 5, 7 or 11, got {k}")
     return dict(
-        kind="vanishing", source=bracelet_source(k), step=2 * k,
-        residue=_C5_RESIDUES[k], modulus=k * k, default_n_max=100,
+        source=bracelet_source(k), step=2 * k, residue=_C5_RESIDUES[k], modulus=k * k,
+        default_n_max=100,
     )
 
 
 def _emit_c6(B: int) -> dict:
     _check(B in (6, 8), f"B must be 6 or 8, got {B}")
-    return dict(
-        kind="vanishing", source=bracelet_source(5), step=10, residue=B, modulus=2,
-        default_n_max=500,
-    )
+    return dict(source=bracelet_source(5), step=10, residue=B, modulus=2, default_n_max=500)
 
 
 def _emit_c7() -> dict:
     return dict(
-        kind="series", source=bracelet_source(5), step=10, residue=2, modulus=2,
+        source=bracelet_source(5), step=10, residue=2, modulus=2,
         rhs_source=lregular_source(5), default_n_max=500,
     )
 
 
 def _emit_c8() -> dict:
     return dict(
-        kind="series", source=lregular_source(5), step=2, residue=0, modulus=2,
+        source=lregular_source(5), step=2, residue=0, modulus=2,
         rhs_source=product_source(ProductSpec.of((-1, 2, 2, 1))), default_n_max=500,
     )
 
 
 def _emit_c9() -> dict:
     return dict(
-        kind="identity", source=euler_source(1), step=1, residue=0, modulus=None,
+        source=euler_source(1), step=1, residue=0, modulus=None,
         rhs_source=quintic_euler_source(), default_n_max=1000,
     )
 
 
 def _emit_c10(p: int, a: int, i: int) -> dict:
     _require_prime(p)
-    _check(
-        legendre_symbol(-10, p) == -1,
-        f"(-10/{p}) must be -1 for this family",
-    )
+    _check(legendre_symbol(-10, p) == -1, f"(-10/{p}) must be -1 for this family")
     _check(a >= 1, f"alpha must be >= 1, got {a}")
     _check(1 <= i <= p - 1, f"i must lie in 1..{p - 1}, got {i}")
     step = 4 * _power(p, 2 * a)
     residue = _exact_div((24 * i + 7 * p) * _power(p, 2 * a - 1) - 1, 6, "C10 residue")
     return dict(
-        kind="vanishing", source=lregular_source(5), step=step, residue=residue,
-        modulus=2, default_n_max=3,
+        source=lregular_source(5), step=step, residue=residue, modulus=2, default_n_max=3
     )
 
 
@@ -267,40 +271,29 @@ def _emit_c11(v: int, a: int) -> dict:
     step = 4 * _power(5, 2 * a + extra)
     residue = _exact_div(c * _power(5, 2 * a + extra - 1) - 1, 6, "C11 residue")
     return dict(
-        kind="vanishing", source=lregular_source(5), step=step, residue=residue,
-        modulus=2, default_n_max=100 if a == 0 else 80,
+        source=lregular_source(5), step=step, residue=residue, modulus=2,
+        default_n_max=100 if a == 0 else 80,
+    )
+
+
+def _through_c7(b5: dict, default_n_max: int) -> dict:
+    """A b_5 congruence mod 2 carried to B_5 by C7, B_5(10m+2) ≡ b_5(m):
+    b_5(An+B) becomes B_5(10An + 10B+2)."""
+    c7 = _emit_c7()
+    return dict(
+        b5, source=c7["source"], step=c7["step"] * b5["step"],
+        residue=c7["step"] * b5["residue"] + c7["residue"], default_n_max=default_n_max,
     )
 
 
 def _emit_c12(p: int, a: int, i: int) -> dict:
-    _require_prime(p)
-    _check(
-        legendre_symbol(-10, p) == -1,
-        f"(-10/{p}) must be -1 for this family",
-    )
-    _check(a >= 1, f"alpha must be >= 1, got {a}")
-    _check(1 <= i <= p - 1, f"i must lie in 1..{p - 1}, got {i}")
-    step = 40 * _power(p, 2 * a)
-    residue = _exact_div(5 * (24 * i + 7 * p) * _power(p, 2 * a - 1) + 1, 3, "C12 residue")
-    return dict(
-        kind="vanishing", source=bracelet_source(5), step=step, residue=residue,
-        modulus=2, default_n_max=2,
-    )
-
-
-_C13_TABLE = {1: (0, 31), 2: (0, 79), 3: (1, 83), 4: (1, 107)}
+    return _through_c7(_emit_c10(p, a, i), default_n_max=2)
 
 
 def _emit_c13(v: int, a: int) -> dict:
-    _check(v in _C13_TABLE, f"variant must be 1..4, got {v}")
+    _check(v in _C11_TABLE, f"variant must be 1..4, got {v}")
     _check(a >= 1, f"alpha must be >= 1, got {a}")
-    extra, c = _C13_TABLE[v]
-    step = 8 * _power(5, 2 * a + extra)
-    residue = _exact_div(c * _power(5, 2 * a + extra - 1) + 1, 3, "C13 residue")
-    return dict(
-        kind="vanishing", source=bracelet_source(5), step=step, residue=residue,
-        modulus=2, default_n_max=20,
-    )
+    return _through_c7(_emit_c11(v, a - 1), default_n_max=20)
 
 
 def _emit_c14(p: int, r: int, a: int) -> dict:
@@ -314,7 +307,7 @@ def _emit_c14(p: int, r: int, a: int) -> dict:
     rhs = product_source(ProductSpec.of((-1, 2 * p, 2 * p, 1), (-1, 2 * e, 2 * e, -1)))
     sign = PrimeContext(p).epsilon ** a
     return dict(
-        kind="series", source=bracelet_source(k), step=step, residue=residue,
+        source=bracelet_source(k), step=step, residue=residue,
         modulus=p, rhs_source=rhs, rhs_sign=sign,
     )
 
@@ -331,7 +324,7 @@ def _emit_c15(p: int, r: int, a: int, i: int) -> dict:
     step = _power(p, 2 * a)
     residue = _exact_div((12 * i + p) * _power(p, 2 * a - 1) - 1, 12, "C15 residue")
     return dict(
-        kind="vanishing", source=bracelet_source(_power(p, r)), step=step, residue=residue,
+        source=bracelet_source(_power(p, r)), step=step, residue=residue,
         modulus=p, default_n_max=100,
     )
 
@@ -352,7 +345,7 @@ def _emit_c16(p: int, r: int, a: int, j: int) -> dict:
     step = _power(p, 2 * a + 1)
     residue = _exact_div((12 * j + 1) * _power(p, 2 * a) - 1, 12, "C16 residue")
     return dict(
-        kind="vanishing", source=bracelet_source(_power(p, r)), step=step, residue=residue,
+        source=bracelet_source(_power(p, r)), step=step, residue=residue,
         modulus=p, default_n_max=40,
     )
 
@@ -364,14 +357,10 @@ def _emit_c17(p: int, a: int, v: int) -> dict:
     k = _power(p, 2 * a - 1)
     step = 2 * _power(p, 2 * a - 1)
     residue = _exact_div(_power(p, 2 * a) - 1, 12, "C17 residue")
-    if v == 1:
-        rhs = lregular_source(p)
-    else:
-        rhs = product_source(ProductSpec.of((-1, p, p, 1), (-1, 1, 1, -1)))
-    sign = PrimeContext(p).epsilon ** a
+    rhs = lregular_source(p) if v == 1 else product_source(l_regular_spec(p))
     return dict(
-        kind="series", source=bracelet_source(k), step=step, residue=residue,
-        modulus=p, rhs_source=rhs, rhs_sign=sign,
+        source=bracelet_source(k), step=step, residue=residue,
+        modulus=p, rhs_source=rhs, rhs_sign=PrimeContext(p).epsilon ** a,
     )
 
 
@@ -386,31 +375,24 @@ def _emit_c18(p: int, a: int) -> dict:
     step = 2 * _power(p, 2 * a)
     residue = _exact_div(c * _power(p, 2 * a - 1) - 1, 12, "C18 residue")
     return dict(
-        kind="vanishing", source=bracelet_source(k), step=step, residue=residue,
-        modulus=p, default_n_max=40,
+        source=bracelet_source(k), step=step, residue=residue, modulus=p, default_n_max=40
     )
 
 
 def _emit_c19(p: int, a: int) -> dict:
     _require_prime(p)
     _check(a >= 1, f"alpha must be >= 1, got {a}")
-    k = _power(p, 2 * a)
-    step = _power(p, 2 * a - 1)
-    residue = _exact_div(_power(p, 2 * a) - 1, 12, "C19 residue")
-    # C14 at r = 2a: the right side (q^{2p};q^{2p})/(q^{2p};q^{2p}) is 1
-    return dict(
-        kind="series", source=bracelet_source(k), step=step, residue=residue,
-        modulus=p, rhs_source=product_source(ProductSpec()),
-        rhs_sign=PrimeContext(p).epsilon ** a, default_n_max=300,
-    )
+    # C14 at r = 2a, whose right side (q^{2p};q^{2p})/(q^{2p};q^{2p}) is 1
+    c14 = _emit_c14(p, 2 * a, a)
+    return dict(c14, rhs_source=product_source(ProductSpec()), default_n_max=300)
 
 
 def _emit_c20(m: int) -> dict:
     _check(m in (5, 7, 11), f"m must be 5, 7 or 11, got {m}")
     # Ramanujan's congruences p(mn + 24^{-1} mod m) ≡ 0 (mod m)
     return dict(
-        kind="vanishing", source=partition_source(), step=m, residue=pow(24, -1, m),
-        modulus=m, default_n_max=150,
+        source=partition_source(), step=m, residue=pow(24, -1, m), modulus=m,
+        default_n_max=150,
     )
 
 

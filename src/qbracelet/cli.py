@@ -11,7 +11,7 @@ import sys
 
 import click
 
-from .claims import default_catalog, resolve_selection
+from .claims import default_catalog, int_str_limit, printable, resolve_selection
 from .rings import EXACT, CoefficientRing, Mod
 from .sources import bracelet_source, expand_source, parse_source
 from .verify import (
@@ -30,8 +30,9 @@ def _check_cap(order: int, ring: CoefficientRing) -> None:
     except ValueError as exc:  # a malformed QBRACELET_ORDER_CAP
         raise click.ClickException(str(exc)) from None
     if order > cap:
+        shown = order if printable(order) else f"of more than {int_str_limit()} digits"
         raise click.ClickException(
-            f"required order {order} exceeds the cap {cap} "
+            f"required order {shown} exceeds the cap {cap} "
             f"(override with QBRACELET_ORDER_CAP)"
         )
 

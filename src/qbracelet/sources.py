@@ -58,6 +58,11 @@ class SeriesSource:
             return "(q^25;q^25)oo*(a(q)-q-q^2*b(q))"
         return str(self.spec)
 
+    def series_symbol(self) -> str:
+        """The whole series: ``Σ b_5(n) q^n`` for a family, else the product."""
+        family = self.kind in _FAMILY_SYMBOLS
+        return f"Σ {self.symbol()}(n) q^n" if family else self.symbol()
+
     def identity(self) -> NormalForm | str:
         """What the series is rather than how it is spelled: sources with
         equal identities expand to equal series."""

@@ -19,7 +19,9 @@ import os
 import time
 from dataclasses import dataclass
 
-from .claims import CongruenceClaim, SelectionIssue, claim_sort_key
+from .claims import (
+    CongruenceClaim, SelectionIssue, claim_sort_key, int_str_limit, printable,
+)
 from .rings import EXACT, CoefficientRing, Mod
 from .series import TruncatedSeries
 from .sources import SeriesSource, expand_source
@@ -183,10 +185,15 @@ def verify(
         sides = _sides(claim, claim_n_max)
         cap = order_cap(ring)
         over = [order for *_, order in sides if order > cap]
+        numbers = {"step": claim.step, "modulus": claim.modulus or 0,
+                   "truncation": sides[0][3]}
+        long = [name for name, value in numbers.items() if not printable(value)]
         problem = ""
-        if over:
+        if long:  # no report, text, JSON or CSV could show the claim
+            problem = f"{long[0]} has more than {int_str_limit()} digits"
+        elif over:
             problem = f"truncation {over[0]} exceeds the {ring.key()} order cap {cap}"
-        jobs.append((claim, claim_n_max, ring, sides, problem))
+        jobs.append((claim, claim_n_max, ring, sides, problem, not long))
         if problem:
             continue
         for source, *_, order in sides:
@@ -205,10 +212,11 @@ def verify(
             build_errors[_series_key(source, ring)] = f"{type(exc).__name__}: {exc}"
 
     reports = []
-    for claim, claim_n_max, ring, sides, problem in jobs:
+    for claim, claim_n_max, ring, sides, problem, shown in jobs:
         start = time.perf_counter()
-        errors = [build_errors.get(_series_key(side[0], ring)) for side in sides]
-        problem = problem or next(filter(None, errors), "")
+        if not problem:
+            errors = (build_errors.get(_series_key(side[0], ring)) for side in sides)
+            problem = next(filter(None, errors), "")
         status, counterexample = "error", None
         if not problem:
             try:
@@ -224,10 +232,10 @@ def verify(
                 claim.params_dict(),
                 status,
                 n_checked=0 if status == "error" else claim_n_max,
-                truncation=sides[0][3],
+                truncation=sides[0][3] if shown else 0,
                 counterexample=counterexample,
                 elapsed_ms=round(elapsed, 3),
-                description=claim.describe(),
+                description=claim.describe() if shown else "",
                 message=problem,
             )
         )

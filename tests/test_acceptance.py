@@ -200,7 +200,6 @@ def test_criterion_10_negative_control():
                        "a concrete index"):
         planted = CongruenceClaim(
             claim_id="X-planted",
-            kind="vanishing",
             source=bracelet_source(5),
             step=10,
             residue=1,

@@ -1,5 +1,8 @@
 """Catalog construction, family instantiation, and its strict validation."""
 
+import dataclasses
+import sys
+
 import pytest
 
 from qbracelet.claims import (
@@ -10,8 +13,10 @@ from qbracelet.claims import (
     claim_sort_key,
     default_catalog,
     families,
+    printable,
     resolve_selection,
 )
+from qbracelet.oracles import is_prime, legendre_symbol
 from qbracelet.products import ProductSpec
 from qbracelet.sources import euler_source, partition_source, product_source
 from qbracelet.theta import PrimeContext
@@ -219,26 +224,20 @@ def test_resolve_selection_rejects_a_repeated_parameter():
 @pytest.mark.parametrize(
     "kw",
     [
-        {"kind": "vanish"},
-        {"kind": "series"},
-        {"rhs_source": euler_source(1)},
         {"modulus": None},
         {"modulus": 1},
-        {"kind": "identity", "rhs_source": euler_source(1)},
-        {"kind": "series", "rhs_source": euler_source(1), "modulus": 0},
+        {"rhs_source": euler_source(1), "modulus": 0},
         {"step": 0},
         {"residue": -1},
         {"default_n_max": -1},
     ],
     ids=[
-        "unknown-kind", "series-without-rhs", "vanishing-with-rhs",
-        "vanishing-without-modulus", "modulus-1", "identity-with-modulus",
-        "series-modulus-0", "step-0", "negative-residue", "negative-n-max",
+        "vanishing-without-modulus", "modulus-1", "series-modulus-0", "step-0",
+        "negative-residue", "negative-n-max",
     ],
 )
 def test_malformed_claim_is_rejected(kw):
-    fields = dict(claim_id="X1", kind="vanishing", source=partition_source(),
-                  step=5, residue=4, modulus=5)
+    fields = dict(claim_id="X1", source=partition_source(), step=5, residue=4, modulus=5)
     with pytest.raises(ValueError, match="X1: "):
         CongruenceClaim(**{**fields, **kw})
 
@@ -263,3 +262,108 @@ def test_describe_strings():
     assert by_id["C7"].describe() == "Σ B_5(10n+2) q^n ≡ Σ b_5(n) q^n (mod 2)"
     assert "(q^2;q^2)oo" in by_id["C8"].describe()
     assert by_id["C14[p=5,r=1,a=1]"].describe().startswith("Σ B_5(5n+2) q^n ≡ -")
+
+
+def test_claim_kind_is_read_from_modulus_and_right_side():
+    assert "kind" not in {f.name for f in dataclasses.fields(CongruenceClaim)}
+    by_id = {c.claim_id: c for c in default_catalog()}
+    assert by_id["C9"].kind == "identity"
+    assert by_id["C7"].kind == "series"
+    assert by_id["C6[B=6]"].kind == "vanishing"
+    with pytest.raises(ValueError, match="X1: a claim needs a modulus or an rhs_source"):
+        CongruenceClaim("X1", partition_source(), 1, 0, None)
+
+
+# C12 and C13 are C10 and C11 carried by C7; these are the paper's closed
+# forms, transcribed apart from the derivation.  C13 variant v is
+# B_5(8·5^{2a+e} n + (c·5^{2a+e-1}+1)/3) with (e, c) from this table.
+C13_CLOSED_FORMS = {1: (0, 31), 2: (0, 79), 3: (1, 83), 4: (1, 107)}
+
+
+def _exact_third(num):
+    assert num % 3 == 0
+    return num // 3
+
+
+def test_c12_matches_its_closed_form():
+    checked = 0
+    for p in filter(is_prime, range(17, 104)):
+        if legendre_symbol(-10, p) != -1:
+            continue
+        for a in range(1, 4):
+            for i in range(1, p):
+                claim = families()["C12"].instantiate(p=p, a=a, i=i)
+                top = p ** (2 * a)
+                assert claim.step == 40 * top
+                assert claim.residue == _exact_third(5 * (24 * i + 7 * p) * top // p + 1)
+                assert (claim.source.key(), claim.modulus, claim.kind) == (
+                    "bracelet:5", 2, "vanishing",
+                )
+                assert claim.default_n_max == 2
+                checked += 1
+    assert checked > 1000
+
+
+def test_c13_matches_its_closed_form():
+    for v, (e, c) in C13_CLOSED_FORMS.items():
+        for a in range(1, 6):
+            claim = families()["C13"].instantiate(v=v, a=a)
+            top = 5 ** (2 * a + e)
+            assert claim.step == 8 * top
+            assert claim.residue == _exact_third(c * top // 5 + 1)
+            assert (claim.source.key(), claim.modulus, claim.kind) == (
+                "bracelet:5", 2, "vanishing",
+            )
+            assert claim.default_n_max == 20
+
+
+def test_c19_matches_its_closed_form_and_c14_at_r_2a():
+    for p in filter(is_prime, range(5, 24)):
+        # epsilon_p = (-1)^t for the integral branch t of (±p-1)/6
+        t = (p - 1) // 6 if p % 6 == 1 else (-p - 1) // 6
+        for a in range(1, 4):
+            claim = families()["C19"].instantiate(p=p, a=a)
+            assert claim.source.key() == f"bracelet:{p ** (2 * a)}"
+            assert claim.step == p ** (2 * a - 1)
+            assert claim.residue * 12 == p ** (2 * a) - 1
+            assert claim.rhs_sign == (-1) ** (t * a)
+            assert (claim.modulus, claim.kind) == (p, "series")
+            assert claim.rhs_source.key() == "product:"
+            assert claim.default_n_max == 300
+            c14 = families()["C14"].instantiate(p=p, r=2 * a, a=a)
+            # one cache entry: C14's right side at r = 2a is the empty product
+            assert claim.rhs_source.identity() == c14.rhs_source.identity()
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("C12[p=7,a=1,i=1]", "(-10/7) must be -1 for this family"),
+        ("C13[v=5,a=1]", "variant must be 1..4, got 5"),
+        ("C13[v=1,a=0]", "alpha must be >= 1, got 0"),
+        ("C19[p=4,a=1]", "p must be a prime >= 5, got 4"),
+        ("C19[p=5,a=0]", "alpha must be >= 1, got 0"),
+    ],
+)
+def test_derived_families_refuse_as_before(text, message):
+    assert resolve_selection([text]) == ([], [SelectionIssue(text, "error", message)])
+
+
+def test_power_guard_without_int_str_limit_function(monkeypatch):
+    # Python 3.10.0-3.10.6 have no sys.get_int_max_str_digits
+    monkeypatch.delattr(sys, "get_int_max_str_digits")
+    assert len(default_catalog()) == 46
+    text = "C2[p=5,r=100000]"
+    message = "5^100000 has more than 4300 digits"
+    assert resolve_selection([text]) == ([], [SelectionIssue(text, "error", message)])
+
+
+def test_printable_agrees_with_str_at_the_digit_limit():
+    limit = sys.get_int_max_str_digits()
+    for n in (10**limit - 1, 10**limit, -(10**limit), 2**14284, 2**14285, 0):
+        try:
+            str(n)
+        except ValueError:
+            assert not printable(n)
+        else:
+            assert printable(n)

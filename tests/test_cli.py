@@ -115,6 +115,56 @@ def test_verify_refuses_a_power_too_long_to_print(tmp_path, claim, power):
     ]
 
 
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+@pytest.mark.parametrize(
+    "args, what",
+    [
+        # each family power prints, but the step or the truncation does not
+        (["--claims", "C14[p=5,r=6150,a=3075]"], "truncation"),
+        (["--claims", "C10[p=17,a=1000,i=1]", "--nmax", "1" + "0" * 2000], "truncation"),
+        (["--claims", "C12[p=17,a=1747,i=1]"], "step"),
+        # 5^6151 prints, and C7 takes it to the step 8·5^6152, which does not
+        (["--claims", "C13[v=1,a=3076]"], "step"),
+    ],
+)
+def test_verify_refuses_a_statement_too_long_to_print(tmp_path, args, what, fmt):
+    result = run_subprocess(tmp_path, "verify", *args, "--format", fmt)
+    assert result.returncode == 1, result.stderr
+    claim = args[1]
+    if fmt == "text":
+        limit = sys.get_int_max_str_digits()
+        assert result.stdout.splitlines() == [
+            f"{claim}: ERROR ({what} has more than {limit} digits)",
+            "-- 1 claims: 1 error",
+        ]
+    elif fmt == "json":
+        [report] = json.loads(result.stdout)
+        assert (report["claim_id"], report["status"]) == (claim, "error")
+        assert report["truncation"] == 0
+    else:
+        rows = list(csv.reader(io.StringIO(result.stdout)))
+        assert rows[1:] == [[claim, "error", "0", "0", "", "", "0.0"]]
+
+
+@pytest.mark.parametrize(
+    "args, cap",
+    [
+        (["search", "5", "--amax", "1" + "0" * 4000, "--mod", "2",
+          "--nmax", "1" + "0" * 400], 50_000),
+        (["dissect", "bracelet:5", "1" + "0" * 4000, "1", "-N", "1" + "0" * 400], 2_000),
+    ],
+)
+def test_an_order_too_long_to_print_is_a_one_line_error(runner, args, cap):
+    result = run(runner, *args)
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    limit = sys.get_int_max_str_digits()
+    assert result.output == (
+        f"Error: required order of more than {limit} digits exceeds the cap {cap} "
+        "(override with QBRACELET_ORDER_CAP)\n"
+    )
+
+
 def test_verify_checks_a_long_printable_power(runner):
     result = run(runner, "verify", "--claims", "C2[p=5,r=3000]")
     assert result.exit_code == 0
@@ -394,23 +444,23 @@ def test_verify_rendering_is_pinned(monkeypatch, capsys):
     # one run through every report shape; elapsed_ms is masked to 0.0
     monkeypatch.delenv("QBRACELET_ORDER_CAP", raising=False)
     claims = [
-        CongruenceClaim("X1", "vanishing", partition_source(), 5, 4, 5,
+        CongruenceClaim("X1", partition_source(), 5, 4, 5,
                         default_n_max=1),
-        CongruenceClaim("X2", "series", euler_source(1), 1, 0, 2,
+        CongruenceClaim("X2", euler_source(1), 1, 0, 2,
                         rhs_source=euler_source(1), rhs_sign=-1, default_n_max=10),
-        CongruenceClaim("X3", "identity", euler_source(1), 1, 0, None,
+        CongruenceClaim("X3", euler_source(1), 1, 0, None,
                         rhs_source=quintic_euler_source(), default_n_max=30),
         # planted: (q;q) has odd coefficients at q^5 and q^7
-        CongruenceClaim("X4", "vanishing", euler_source(1), 1, 3, 2,
+        CongruenceClaim("X4", euler_source(1), 1, 3, 2,
                         default_n_max=5),
         # planted: p(5) = 7 but b_5(5) = 6
-        CongruenceClaim("X5", "series", partition_source(), 1, 0, 3,
+        CongruenceClaim("X5", partition_source(), 1, 0, 3,
                         rhs_source=lregular_source(5), default_n_max=8),
         # planted: a constant right side of 1, but p(4) = 5 ≡ 0 (mod 5)
-        CongruenceClaim("X6", "series", partition_source(), 5, 4, 5,
+        CongruenceClaim("X6", partition_source(), 5, 4, 5,
                         rhs_source=product_source(ProductSpec()), default_n_max=1),
         # past the default mod-M order cap: 10 * 5000 + 6 > 50,000
-        CongruenceClaim("X7", "vanishing", bracelet_source(5), 10, 6, 2,
+        CongruenceClaim("X7", bracelet_source(5), 10, 6, 2,
                         default_n_max=5000),
     ]
     _, issues = resolve_selection(["C16[p=5,r=1,a=1,j=1]", "C99"])

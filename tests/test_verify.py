@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -32,7 +33,6 @@ from qbracelet.verify import (
 def make_claim(**kw):
     base = dict(
         claim_id="X1",
-        kind="vanishing",
         source=bracelet_source(5),
         step=10,
         residue=6,
@@ -76,7 +76,6 @@ def test_guarded_claim_detects_vanishing_constant():
     # fails at n = 0, where p(4) - 1 ≡ -1 ≡ 4 (mod 5)
     claim = make_claim(
         claim_id="X-guard",
-        kind="series",
         source=partition_source(),
         step=5,
         residue=4,
@@ -242,7 +241,6 @@ def test_series_congruence_failure_reports_residual():
     good = claims[0]
     bad = CongruenceClaim(
         claim_id="X-sign",
-        kind="series",
         source=good.source,
         step=good.step,
         residue=good.residue,
@@ -296,3 +294,13 @@ def test_build_plan_shares_aliased_sources():
     assert [r.status for r in reports] == ["pass", "pass"]
     assert len(cache.builds) == 1
     assert cache.builds[0][1:] == ("mod2", 606)
+
+
+def test_a_claim_too_long_to_print_is_an_error_report():
+    # neither the statement nor the truncation of this claim can be printed
+    (report,) = verify([make_claim(step=10**5000, default_n_max=0)])
+    assert (report.status, report.truncation, report.description) == ("error", 0, "")
+    assert report.message == f"step has more than {sys.get_int_max_str_digits()} digits"
+    reports_to_json([report])
+    (report,) = verify([make_claim(modulus=10**5000)])
+    assert report.message == f"modulus has more than {sys.get_int_max_str_digits()} digits"
