@@ -251,7 +251,10 @@ def _emit_c9() -> dict:
 
 def _emit_c10(p: int, a: int, i: int) -> dict:
     _require_prime(p)
-    _check(legendre_symbol(-10, p) == -1, f"(-10/{p}) must be -1 for this family")
+    _check(
+        legendre_symbol(-10, p) == -1,
+        f"(-10/{p}) must be -1 for this family",
+    )
     _check(a >= 1, f"alpha must be >= 1, got {a}")
     _check(1 <= i <= p - 1, f"i must lie in 1..{p - 1}, got {i}")
     step = 4 * _power(p, 2 * a)
@@ -355,7 +358,7 @@ def _emit_c17(p: int, a: int, v: int) -> dict:
     _check(a >= 1, f"alpha must be >= 1, got {a}")
     _check(v in (1, 2), f"variant must be 1 or 2, got {v}")
     k = _power(p, 2 * a - 1)
-    step = 2 * _power(p, 2 * a - 1)
+    step = 2 * k
     residue = _exact_div(_power(p, 2 * a) - 1, 12, "C17 residue")
     rhs = lregular_source(p) if v == 1 else product_source(l_regular_spec(p))
     return dict(
@@ -380,7 +383,7 @@ def _emit_c18(p: int, a: int) -> dict:
 
 
 def _emit_c19(p: int, a: int) -> dict:
-    _require_prime(p)
+    _require_prime(p)  # first, so that a < 1 is refused as alpha, not as C14's r
     _check(a >= 1, f"alpha must be >= 1, got {a}")
     # C14 at r = 2a, whose right side (q^{2p};q^{2p})/(q^{2p};q^{2p}) is 1
     c14 = _emit_c14(p, 2 * a, a)
