@@ -23,8 +23,7 @@ from __future__ import annotations
 import math
 import re
 import sys
-from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from .generators import l_regular_spec
 from .oracles import is_prime, legendre_symbol
@@ -50,8 +49,8 @@ class VacuousFamilyError(InstantiationError):
     """The requested parameters make the family empty rather than wrong."""
 
 
-@dataclass(frozen=True)
-class CongruenceClaim:
+class _Claim(NamedTuple):
+    # CongruenceClaim's fields; a NamedTuple body may not define its checking __new__
     claim_id: str
     source: SeriesSource
     step: int
@@ -61,16 +60,6 @@ class CongruenceClaim:
     rhs_sign: int = 1
     default_n_max: int = 200
     params: tuple[tuple[str, int], ...] = ()
-
-    def __post_init__(self) -> None:
-        if self.modulus is None and self.rhs_source is None:
-            raise ValueError(f"{self.claim_id}: a claim needs a modulus or an rhs_source")
-        if self.modulus is not None and self.modulus < 2:
-            raise ValueError(f"{self.claim_id}: modulus must be >= 2, got {self.modulus}")
-        if self.step < 1:
-            raise ValueError(f"{self.claim_id}: step must be >= 1")
-        if min(self.residue, self.default_n_max) < 0:
-            raise ValueError(f"{self.claim_id}: residue and n bound must be >= 0")
 
     @property
     def kind(self) -> str:
@@ -94,6 +83,22 @@ class CongruenceClaim:
             rhs = sign + self.rhs_source.series_symbol()
             return f"Σ {self.source.symbol()}({arg}) q^n ≡ {rhs} (mod {self.modulus})"
         return f"{self.source.symbol()} = {self.rhs_source.symbol()}"
+
+
+class CongruenceClaim(_Claim):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> CongruenceClaim:
+        self = super().__new__(cls, *args, **kwargs)
+        if self.modulus is None and self.rhs_source is None:
+            raise ValueError(f"{self.claim_id}: a claim needs a modulus or an rhs_source")
+        if self.modulus is not None and self.modulus < 2:
+            raise ValueError(f"{self.claim_id}: modulus must be >= 2, got {self.modulus}")
+        if self.step < 1:
+            raise ValueError(f"{self.claim_id}: step must be >= 1")
+        if min(self.residue, self.default_n_max) < 0:
+            raise ValueError(f"{self.claim_id}: residue and n bound must be >= 0")
+        return self
 
 
 def _check(cond: bool, message: str) -> None:
@@ -139,11 +144,10 @@ def _require_prime(p: int, minimum: int = 5) -> None:
     _check(prime, f"p must be a prime >= {minimum}, got {p}")
 
 
-@dataclass(frozen=True)
-class ClaimFamily:
+class ClaimFamily(NamedTuple):
     family_id: str
     param_names: tuple[str, ...]
-    emit: Callable[..., dict] = field(repr=False)  # parameters -> claim fields
+    emit: Callable[..., dict]  # parameters -> claim fields
     default_grid: tuple[tuple[int, ...], ...] = ()
 
     def claim_id(self, **params: int) -> str:
@@ -451,8 +455,7 @@ def claim_sort_key(claim: CongruenceClaim) -> tuple[int, str]:
     return (num, claim.claim_id)
 
 
-@dataclass(frozen=True)
-class SelectionIssue:
+class SelectionIssue(NamedTuple):
     claim_id: str
     status: str  # vacuous | error
     message: str

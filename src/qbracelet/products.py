@@ -23,7 +23,6 @@ it against a plain list loop.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import reduce
 from operator import mul
 from typing import Iterable, Iterator, NamedTuple
@@ -33,22 +32,12 @@ from .rings import EXACT, CoefficientRing
 from .series import TruncatedSeries
 
 
-@dataclass(frozen=True)
-class PochhammerFactor:
-    """(q^a; q^b)_inf when sign == -1, (-q^a; q^b)_inf when sign == +1."""
-
+class _Factor(NamedTuple):
+    # PochhammerFactor's fields; a NamedTuple body may not define its checking __new__
     sign: int
     offset: int
     step: int
     exponent: int = 1
-
-    def __post_init__(self) -> None:
-        if self.sign not in (1, -1):
-            raise ValueError("sign must be +1 or -1")
-        if self.offset < 1:
-            raise ValueError("offset must be >= 1")
-        if self.step < 1:
-            raise ValueError("step must be >= 1")
 
     def base_str(self) -> str:
         inner = f"q^{self.offset}" if self.offset != 1 else "q"
@@ -64,6 +53,22 @@ class PochhammerFactor:
         return s
 
 
+class PochhammerFactor(_Factor):
+    """(q^a; q^b)_inf when sign == -1, (-q^a; q^b)_inf when sign == +1."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> PochhammerFactor:
+        self = super().__new__(cls, *args, **kwargs)
+        if self.sign not in (1, -1):
+            raise ValueError("sign must be +1 or -1")
+        if self.offset < 1:
+            raise ValueError("offset must be >= 1")
+        if self.step < 1:
+            raise ValueError("step must be >= 1")
+        return self
+
+
 class NormalForm(NamedTuple):
     """The sorted pairs (t, e_t) of prod_t (q^t;q^t)^{e_t}, and the other
     factors, one per base, sorted; no exponent is zero."""
@@ -72,8 +77,7 @@ class NormalForm(NamedTuple):
     general: ProductSpec
 
 
-@dataclass(frozen=True)
-class ProductSpec:
+class ProductSpec(NamedTuple):
     """A formal product of Pochhammer factors; the empty product is 1."""
 
     factors: tuple[PochhammerFactor, ...] = ()

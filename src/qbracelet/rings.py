@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
+from typing import NamedTuple
 
 
 class RingMismatchError(ValueError):
@@ -14,19 +14,9 @@ class NotInvertibleError(ValueError):
     """A constant term is not a unit in its coefficient ring."""
 
 
-@dataclass(frozen=True)
-class CoefficientRing:
-    """The ring coefficients live in.
-
-    ``modulus is None`` means exact arbitrary-precision integers; otherwise
-    elements are canonical representatives in ``[0, modulus)``.
-    """
-
+class _Ring(NamedTuple):
+    # CoefficientRing's fields; a NamedTuple body may not define its checking __new__
     modulus: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.modulus is not None and self.modulus < 2:
-            raise ValueError(f"modulus must be >= 2, got {self.modulus}")
 
     @property
     def is_exact(self) -> bool:
@@ -62,6 +52,22 @@ class CoefficientRing:
 
     def __str__(self) -> str:
         return "Z" if self.modulus is None else f"Z/{self.modulus}"
+
+
+class CoefficientRing(_Ring):
+    """The ring coefficients live in.
+
+    ``modulus is None`` means exact arbitrary-precision integers; otherwise
+    elements are canonical representatives in ``[0, modulus)``.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> CoefficientRing:
+        self = super().__new__(cls, *args, **kwargs)
+        if self.modulus is not None and self.modulus < 2:
+            raise ValueError(f"modulus must be >= 2, got {self.modulus}")
+        return self
 
 
 EXACT = CoefficientRing()

@@ -12,7 +12,7 @@ form) is what the verification engine caches on, so ``lregular:5`` and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .generators import (
     PARTITION_SPEC,
@@ -34,8 +34,7 @@ _FAMILY_SYMBOLS = {
 }
 
 
-@dataclass(frozen=True)
-class SeriesSource:
+class SeriesSource(NamedTuple):
     """A named series; ``spec`` is its defining product, None only for
     ``quintic_euler``, which is a sum of products."""
 

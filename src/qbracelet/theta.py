@@ -9,7 +9,7 @@ of q and direct summation truncates after O(sqrt(N)) terms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .oracles import is_prime
 from .products import pochhammer_base
@@ -124,17 +124,9 @@ def jacobi_triple_check(t: int, sz: int, n: int) -> bool:
     return equal
 
 
-@dataclass(frozen=True)
-class PrimeContext:
-    """A prime p >= 5 with the constants driving the p-dissection of f(-q):
-    delta = (p^2-1)/24, the integral branch t of (+-p-1)/6, and the sign
-    epsilon = (-1)^t (mathematical parity, so t = -1 gives epsilon = -1)."""
-
+class _Prime(NamedTuple):
+    # PrimeContext's fields; a NamedTuple body may not define its checking __new__
     p: int
-
-    def __post_init__(self) -> None:
-        if self.p < 5 or not is_prime(self.p):
-            raise ValueError(f"p must be a prime >= 5, got {self.p}")
 
     @property
     def delta(self) -> int:
@@ -150,6 +142,20 @@ class PrimeContext:
     @property
     def epsilon(self) -> int:
         return -1 if self.t % 2 else 1
+
+
+class PrimeContext(_Prime):
+    """A prime p >= 5 with the constants driving the p-dissection of f(-q):
+    delta = (p^2-1)/24, the integral branch t of (+-p-1)/6, and the sign
+    epsilon = (-1)^t (mathematical parity, so t = -1 gives epsilon = -1)."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> PrimeContext:
+        self = super().__new__(cls, *args, **kwargs)
+        if self.p < 5 or not is_prime(self.p):
+            raise ValueError(f"p must be a prime >= 5, got {self.p}")
+        return self
 
 
 def p_dissection_f(

@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .claims import (
     CongruenceClaim, SelectionIssue, claim_sort_key, int_str_limit, printable,
@@ -47,8 +47,7 @@ def order_cap(ring: CoefficientRing) -> int:
     return cap
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(NamedTuple):
     claim_id: str
     params: dict[str, int]
     status: str  # pass | fail | vacuous | error

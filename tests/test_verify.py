@@ -1,6 +1,5 @@
 """Verification engine behaviour: statuses, caching, determinism."""
 
-import dataclasses
 import json
 import re
 import sys
@@ -97,7 +96,7 @@ def test_c19_constant_and_its_negation(p, a):
     cache = SeriesCache()
     (report,) = verify([claim], cache=cache)
     assert (report.status, report.n_checked) == ("pass", 300)
-    negated = dataclasses.replace(claim, rhs_sign=-claim.rhs_sign)
+    negated = CongruenceClaim(**{**claim._asdict(), "rhs_sign": -claim.rhs_sign})
     (report,) = verify([negated], cache=cache)
     assert report.status == "fail"
     assert report.counterexample == {"n": 0, "value": (2 * claim.rhs_sign) % p}
