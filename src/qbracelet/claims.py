@@ -28,6 +28,7 @@ from typing import Callable, Iterable, NamedTuple
 from .generators import l_regular_spec
 from .oracles import is_prime, legendre_symbol
 from .products import ProductSpec
+from .rings import _Checked
 from .sources import (
     SeriesSource,
     bracelet_source,
@@ -50,7 +51,6 @@ class VacuousFamilyError(InstantiationError):
 
 
 class _Claim(NamedTuple):
-    # CongruenceClaim's fields; a NamedTuple body may not define its checking __new__
     claim_id: str
     source: SeriesSource
     step: int
@@ -85,11 +85,10 @@ class _Claim(NamedTuple):
         return f"{self.source.symbol()} = {self.rhs_source.symbol()}"
 
 
-class CongruenceClaim(_Claim):
+class CongruenceClaim(_Checked, _Claim):
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs) -> CongruenceClaim:
-        self = super().__new__(cls, *args, **kwargs)
+    def _validate(self) -> None:
         if self.modulus is None and self.rhs_source is None:
             raise ValueError(f"{self.claim_id}: a claim needs a modulus or an rhs_source")
         if self.modulus is not None and self.modulus < 2:
@@ -98,7 +97,6 @@ class CongruenceClaim(_Claim):
             raise ValueError(f"{self.claim_id}: step must be >= 1")
         if min(self.residue, self.default_n_max) < 0:
             raise ValueError(f"{self.claim_id}: residue and n bound must be >= 0")
-        return self
 
 
 def _check(cond: bool, message: str) -> None:

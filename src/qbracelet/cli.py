@@ -40,7 +40,7 @@ def _check_cap(order: int, ring: CoefficientRing) -> None:
 def _expand(source: str, mod: int | None, order: int):
     """Parse SOURCE and expand it to ORDER; bad input is a one-line error."""
     try:
-        ring = EXACT if mod is None else Mod(mod)
+        ring = CoefficientRing(mod)
         _check_cap(order, ring)
         src = parse_source(source)
         return src, expand_source(src, ring, order)
@@ -65,6 +65,11 @@ def _dump_coefficients(coeffs: list[int], fmt: str, meta: dict) -> None:
         _echo_csv(["n", "coefficient"], enumerate(coeffs))
 
 
+_format_option = click.option(
+    "--format", "fmt", type=click.Choice(["text", "json", "csv"]), default="text"
+)
+
+
 @click.group()
 def main() -> None:
     """q-series expansion and congruence verification for partition families.
@@ -78,9 +83,7 @@ def main() -> None:
 @click.argument("source")
 @click.argument("n", type=int)
 @click.option("--mod", type=int, default=None, help="Reduce coefficients mod M.")
-@click.option(
-    "--format", "fmt", type=click.Choice(["text", "json", "csv"]), default="text"
-)
+@_format_option
 def coeffs(source: str, n: int, mod: int | None, fmt: str) -> None:
     """Print coefficients 0..N of SOURCE."""
     if n < 0:
@@ -98,9 +101,7 @@ def coeffs(source: str, n: int, mod: int | None, fmt: str) -> None:
 @click.option("-N", "--order", "order", type=int, default=50,
               help="Order of the dissected series (default 50).")
 @click.option("--mod", type=int, default=None, help="Reduce coefficients mod M.")
-@click.option(
-    "--format", "fmt", type=click.Choice(["text", "json", "csv"]), default="text"
-)
+@_format_option
 def dissect(
     source: str, step: int, residue: int, order: int, mod: int | None, fmt: str
 ) -> None:
@@ -180,9 +181,7 @@ def _verify_csv(reports) -> None:
 @click.option("--all", "run_all", is_flag=True, help="Run the whole catalog.")
 @click.option("--nmax", type=click.IntRange(min=0), default=None,
               help="Check n <= NMAX for every claim (default: per-claim).")
-@click.option(
-    "--format", "fmt", type=click.Choice(["text", "json", "csv"]), default="text"
-)
+@_format_option
 def verify_cmd(
     claim_ids: tuple[str, ...], run_all: bool, nmax: int | None, fmt: str
 ) -> None:
@@ -218,9 +217,7 @@ def verify_cmd(
               help="Modulus to test; repeatable.")
 @click.option("--nmax", type=click.IntRange(min=0), default=100, show_default=True,
               help="Check n <= NMAX along each progression.")
-@click.option(
-    "--format", "fmt", type=click.Choice(["text", "json", "csv"]), default="text"
-)
+@_format_option
 def search(k: int, amax: int, moduli: tuple[int, ...], nmax: int, fmt: str) -> None:
     """Find progressions (A <= AMAX, B < A) with B_K(An+B) ≡ 0 mod M for all
     checked n.  Bounded evidence only: candidates, not theorems."""

@@ -187,12 +187,13 @@ def _divide(cs: list[int], terms: list[tuple[int, int]]) -> None:
 
 
 def _eta_power(t: int, e: int, n: int) -> list[int]:
-    """(q^t;q^t)^e over Z to order n: the power recurrence at order n // t
-    (the pentagonal terms themselves when e == 1), inflated by t."""
+    """(q^t;q^t)^e over Z to order n: the pentagonal terms themselves when
+    e == 1, else the power recurrence at order n // t inflated by t."""
+    if e == 1:
+        return euler_series(n, t).coeffs
     m = n // t
-    g = euler_series(m).coeffs if e == 1 else _power(pentagonal_terms(m), e, m)
     cs = [0] * (n + 1)
-    cs[::t] = g
+    cs[::t] = _power(pentagonal_terms(m), e, m)
     return cs
 
 

@@ -28,12 +28,11 @@ from operator import mul
 from typing import Iterable, Iterator, NamedTuple
 
 from . import _kernel
-from .rings import EXACT, CoefficientRing
+from .rings import EXACT, CoefficientRing, _Checked
 from .series import TruncatedSeries
 
 
 class _Factor(NamedTuple):
-    # PochhammerFactor's fields; a NamedTuple body may not define its checking __new__
     sign: int
     offset: int
     step: int
@@ -53,20 +52,18 @@ class _Factor(NamedTuple):
         return s
 
 
-class PochhammerFactor(_Factor):
+class PochhammerFactor(_Checked, _Factor):
     """(q^a; q^b)_inf when sign == -1, (-q^a; q^b)_inf when sign == +1."""
 
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs) -> PochhammerFactor:
-        self = super().__new__(cls, *args, **kwargs)
+    def _validate(self) -> None:
         if self.sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
         if self.offset < 1:
             raise ValueError("offset must be >= 1")
         if self.step < 1:
             raise ValueError("step must be >= 1")
-        return self
 
 
 class NormalForm(NamedTuple):

@@ -14,8 +14,24 @@ class NotInvertibleError(ValueError):
     """A constant term is not a unit in its coefficient ring."""
 
 
+class _Checked:
+    """Base of a value type whose fields a NamedTuple declares (its body
+    may not define ``__new__``): ``_validate`` runs on every construction,
+    through the constructor and through ``_make``, which ``_replace`` calls."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        self._validate()
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
 class _Ring(NamedTuple):
-    # CoefficientRing's fields; a NamedTuple body may not define its checking __new__
     modulus: int | None = None
 
     @property
@@ -54,7 +70,7 @@ class _Ring(NamedTuple):
         return "Z" if self.modulus is None else f"Z/{self.modulus}"
 
 
-class CoefficientRing(_Ring):
+class CoefficientRing(_Checked, _Ring):
     """The ring coefficients live in.
 
     ``modulus is None`` means exact arbitrary-precision integers; otherwise
@@ -63,11 +79,9 @@ class CoefficientRing(_Ring):
 
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs) -> CoefficientRing:
-        self = super().__new__(cls, *args, **kwargs)
+    def _validate(self) -> None:
         if self.modulus is not None and self.modulus < 2:
             raise ValueError(f"modulus must be >= 2, got {self.modulus}")
-        return self
 
 
 EXACT = CoefficientRing()

@@ -9,6 +9,7 @@ across threads.
 
 from __future__ import annotations
 
+from operator import add, neg, sub
 from typing import Iterable
 
 from . import _kernel
@@ -32,12 +33,10 @@ class TruncatedSeries:
         coeffs: Iterable[int],
         normalize: bool = True,
     ) -> None:
-        cs = list(coeffs)
+        m = ring.modulus
+        cs = [c % m for c in coeffs] if normalize and m is not None else list(coeffs)
         if not cs:
             raise ValueError("a truncated series needs at least the q^0 coefficient")
-        if normalize and ring.modulus is not None:
-            m = ring.modulus
-            cs = [c % m for c in cs]
         self.ring = ring
         self.coeffs = cs
 
@@ -75,25 +74,18 @@ class TruncatedSeries:
 
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         self._require_same_ring(other)
-        norm = self.ring.normalize
-        cs = [norm(a + b) for a, b in zip(self.coeffs, other.coeffs)]
-        return TruncatedSeries(self.ring, cs, normalize=False)
+        return TruncatedSeries(self.ring, map(add, self.coeffs, other.coeffs))
 
     def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         self._require_same_ring(other)
-        norm = self.ring.normalize
-        cs = [norm(a - b) for a, b in zip(self.coeffs, other.coeffs)]
-        return TruncatedSeries(self.ring, cs, normalize=False)
+        return TruncatedSeries(self.ring, map(sub, self.coeffs, other.coeffs))
 
     def __neg__(self) -> "TruncatedSeries":
-        norm = self.ring.normalize
-        return TruncatedSeries(self.ring, [norm(-c) for c in self.coeffs], normalize=False)
+        return TruncatedSeries(self.ring, map(neg, self.coeffs))
 
     def scale(self, c: int) -> "TruncatedSeries":
         """Multiply every coefficient by the ring scalar c."""
-        c = self.ring.normalize(c)
-        norm = self.ring.normalize
-        return TruncatedSeries(self.ring, [norm(c * a) for a in self.coeffs], normalize=False)
+        return TruncatedSeries(self.ring, [c * a for a in self.coeffs])
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         self._require_same_ring(other)
@@ -149,8 +141,7 @@ class TruncatedSeries:
         if t == 1:
             return self
         cs = [0] * (t * self.order + 1)
-        for i, c in enumerate(self.coeffs):
-            cs[t * i] = c
+        cs[::t] = self.coeffs
         return TruncatedSeries(self.ring, cs, normalize=False)
 
     def resized(self, order: int) -> "TruncatedSeries":

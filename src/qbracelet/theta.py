@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 from .oracles import is_prime
 from .products import pochhammer_base
-from .rings import EXACT, CoefficientRing
+from .rings import EXACT, CoefficientRing, _Checked
 from .series import TruncatedSeries
 
 
@@ -21,19 +21,14 @@ class UnsupportedSpecializationError(ValueError):
     """A triple-product specialization that leaves the power-series ring."""
 
 
-def theta_f(
-    x: int,
-    y: int,
-    sx: int,
-    sy: int,
-    n: int,
-    ring: CoefficientRing = EXACT,
-) -> TruncatedSeries:
-    """Expansion of f(sx q^x, sy q^y) to order n.
+def theta_terms(x: int, y: int, sx: int, sy: int, n: int) -> list[tuple[int, int]]:
+    """The terms (exponent, sign) of f(sx q^x, sy q^y) up to q^n: (0, 1),
+    then the terms k and -k for k = 1, 2, ... until both exponents pass n.
 
-    Requires x, y >= 0 and x + y >= 1 so exponents grow in both summation
-    directions.  The summation window is widened symmetrically until the
-    exponent has left [0, n] for good on each side.
+    Requires x, y >= 0 and x + y >= 1.  The exponents of the terms k and -k,
+    x k(k+1)/2 + y k(k-1)/2 and x k(k-1)/2 + y k(k+1)/2, never fall as k
+    grows, so the stop is exact.  Terms that share an exponent (x = y, or
+    x or y zero) are each listed.
     """
     if sx not in (1, -1) or sy not in (1, -1):
         raise ValueError("signs must be +1 or -1")
@@ -41,44 +36,45 @@ def theta_f(
         raise ValueError("exponent parameters must be >= 0")
     if x + y < 1:
         raise ValueError("theta specialization needs x + y >= 1")
-    norm = ring.normalize
-    cs = [0] * (n + 1)
-    for direction in (1, -1):
-        k = 0 if direction == 1 else -1
-        misses = 0
-        while misses < 3:
-            tx = k * (k + 1) // 2
-            ty = k * (k - 1) // 2
-            e = x * tx + y * ty
-            if 0 <= e <= n:
-                sign = (sx if tx & 1 else 1) * (sy if ty & 1 else 1)
-                cs[e] = norm(cs[e] + sign)
-                misses = 0
-            else:
-                misses += 1
-            k += direction
-    return TruncatedSeries(ring, cs, normalize=False)
+    # the parities of k(k+1)/2 and k(k-1)/2 repeat with period 4 in k
+    plus, minus = (1, sx, sx * sy, sy), (1, sy, sx * sy, sx)
+    s = x + y
+    terms = [(0, 1)]
+    k, up, down = 1, x, y  # the exponents of the terms k and -k
+    while up <= n or down <= n:
+        if up <= n:
+            terms.append((up, plus[k & 3]))
+        if down <= n:
+            terms.append((down, minus[k & 3]))
+        up += s * k + x  # x (k+1) + y k
+        down += s * k + y  # x k + y (k+1)
+        k += 1
+    return terms
+
+
+def _dense(terms: list[tuple[int, int]], n: int, ring: CoefficientRing) -> TruncatedSeries:
+    """The series of order n whose coefficients sum the terms (exponent, sign)."""
+    series = TruncatedSeries.zero(ring, n)  # refuses n < 0
+    cs, norm = series.coeffs, ring.normalize
+    for e, sign in terms:
+        cs[e] = norm(cs[e] + sign)
+    return series
+
+
+def theta_f(
+    x: int, y: int, sx: int, sy: int, n: int, ring: CoefficientRing = EXACT
+) -> TruncatedSeries:
+    """Expansion of f(sx q^x, sy q^y) to order n, from :func:`theta_terms`."""
+    return _dense(theta_terms(x, y, sx, sy, n), n, ring)
 
 
 def pentagonal_terms(n: int, scale: int = 1) -> list[tuple[int, int]]:
-    """The nonzero terms (exponent, sign) of (q^t; q^t)_inf =
-    sum_k (-1)^k q^{t k(3k-1)/2} up to q^n, t = scale, by increasing
+    """The nonzero terms (exponent, sign) of (q^t; q^t)_inf = f(-q^t, -q^{2t})
+    = sum_k (-1)^k q^{t k(3k-1)/2} up to q^n, t = scale, by increasing
     exponent: (0, 1) first, then about 2 sqrt(2n / 3t) more."""
     if scale < 1:
         raise ValueError("scale must be >= 1")
-    terms = [(0, 1)]
-    k = 1
-    while True:
-        g1 = scale * k * (3 * k - 1) // 2
-        if g1 > n:
-            break
-        sign = -1 if k % 2 else 1
-        terms.append((g1, sign))
-        g2 = scale * k * (3 * k + 1) // 2
-        if g2 <= n:
-            terms.append((g2, sign))
-        k += 1
-    return terms
+    return theta_terms(scale, 2 * scale, -1, -1, n)
 
 
 def euler_series(
@@ -86,11 +82,7 @@ def euler_series(
 ) -> TruncatedSeries:
     """(q^t; q^t)_inf from its pentagonal terms; sparse, so this is the
     fast builder the generating-function constructors lean on."""
-    norm = ring.normalize
-    cs = [0] * (n + 1)
-    for e, sign in pentagonal_terms(n, scale):
-        cs[e] = norm(sign)
-    return TruncatedSeries(ring, cs, normalize=False)
+    return _dense(pentagonal_terms(n, scale), n, ring)
 
 
 def jacobi_triple_check(t: int, sz: int, n: int) -> bool:
@@ -125,7 +117,6 @@ def jacobi_triple_check(t: int, sz: int, n: int) -> bool:
 
 
 class _Prime(NamedTuple):
-    # PrimeContext's fields; a NamedTuple body may not define its checking __new__
     p: int
 
     @property
@@ -144,18 +135,16 @@ class _Prime(NamedTuple):
         return -1 if self.t % 2 else 1
 
 
-class PrimeContext(_Prime):
+class PrimeContext(_Checked, _Prime):
     """A prime p >= 5 with the constants driving the p-dissection of f(-q):
     delta = (p^2-1)/24, the integral branch t of (+-p-1)/6, and the sign
     epsilon = (-1)^t (mathematical parity, so t = -1 gives epsilon = -1)."""
 
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs) -> PrimeContext:
-        self = super().__new__(cls, *args, **kwargs)
+    def _validate(self) -> None:
         if self.p < 5 or not is_prime(self.p):
             raise ValueError(f"p must be a prime >= 5, got {self.p}")
-        return self
 
 
 def p_dissection_f(

@@ -22,7 +22,7 @@ from typing import NamedTuple
 from .claims import (
     CongruenceClaim, SelectionIssue, claim_sort_key, int_str_limit, printable,
 )
-from .rings import EXACT, CoefficientRing, Mod
+from .rings import CoefficientRing
 from .series import TruncatedSeries
 from .sources import SeriesSource, expand_source
 
@@ -109,9 +109,14 @@ def progression(series: TruncatedSeries, step: int, residue: int, n_max: int) ->
     """Coefficients at ``step * n + residue`` for n = 0..n_max.
 
     ``residue >= step`` is allowed, since large family parameters
-    legitimately produce it.  A negative ``n_max``, or a series too short
-    to reach n = n_max, is an error, never a shorter list.
+    legitimately produce it.  A step below 1, a negative residue or
+    ``n_max``, or a series too short to reach n = n_max, is an error, never
+    a shorter or wrong list.
     """
+    if step < 1 or residue < 0:
+        raise ValueError(
+            f"progression {step}n+{residue} needs step >= 1 and residue >= 0"
+        )
     if n_max < 0:
         raise ValueError(f"progression n_max must be >= 0, got {n_max}")
     last = step * n_max + residue
@@ -180,7 +185,7 @@ def verify(
     plan: dict[tuple, tuple[SeriesSource, CoefficientRing, int]] = {}
     for claim in sorted(claims, key=claim_sort_key):
         claim_n_max = claim.default_n_max if n_max is None else n_max
-        ring = EXACT if claim.kind == "identity" else Mod(claim.modulus)
+        ring = CoefficientRing(claim.modulus)
         sides = _sides(claim, claim_n_max)
         cap = order_cap(ring)
         over = [order for *_, order in sides if order > cap]

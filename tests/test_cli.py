@@ -182,6 +182,8 @@ def test_coeffs_unknown_source_fails(runner):
         ("product:-1,1,x,1", "product factor '-1,1,x,1' must be SIGN,OFFSET,STEP,EXP"),
         ("euler:0", "euler step must be >= 1"),
         ("bracelet:x", "source 'bracelet' parameter must be an integer, got 'x'"),
+        ("bracelet", "source 'bracelet' needs a parameter, e.g. bracelet:5"),
+        ("partition:3", "source 'partition' takes no parameter"),
     ],
 )
 def test_malformed_source_is_a_one_line_error(runner, source, message):
@@ -248,6 +250,7 @@ def test_dissect_matches_coeffs_lemma(runner):
     [
         (["--", "-2", "1"], "STEP must be >= 1"),
         (["-N", "0", "--", "2", "-1"], "RESIDUE must satisfy 0 <= RESIDUE < STEP"),
+        (["2", "1", "--order=-1"], "order must be >= 0"),
     ],
 )
 def test_dissect_rejects_bad_progression(runner, args, message):
@@ -400,6 +403,25 @@ def test_search_trivial_step_is_empty(runner):
                  "--nmax", "50")
     assert result.exit_code == 0
     assert "0 candidates" in result.output
+
+
+@pytest.mark.parametrize(
+    "args, lines",
+    [
+        (["search", "2", "--amax", "2", "--mod", "2"], ["Error: k must be >= 3"]),
+        (["search", "5", "--amax", "0", "--mod", "2"], ["Error: amax must be >= 1"]),
+        (["search", "5", "--amax", "2", "--mod", "3", "--mod", "1"],
+         ["Error: moduli must be >= 2"]),
+        (["coeffs", "partition", "--", "-3"], ["Error: N must be >= 0"]),
+        (["verify", "--claims", "C14[p=x]"],
+         ["C14[p=x]: ERROR (unparseable parameters in 'C14[p=x]')",
+          "-- 1 claims: 1 error"]),
+    ],
+)
+def test_bad_input_is_one_line_and_exit_one(runner, args, lines):
+    result = run(runner, *args)
+    assert result.exit_code == 1
+    assert result.output.splitlines() == lines
 
 
 def test_verify_out_of_table_parameter_is_one_error_line(runner):

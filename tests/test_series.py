@@ -6,6 +6,7 @@ import pytest
 
 from qbracelet import (
     EXACT,
+    CoefficientRing,
     Mod,
     NotInvertibleError,
     RingMismatchError,
@@ -208,6 +209,19 @@ def test_monomial_and_scale():
     m = TruncatedSeries.monomial(Mod(5), 4, 2, coeff=7)
     assert m.coeffs == [0, 0, 2, 0, 0]
     assert m.scale(-1).coeffs == [0, 0, 3, 0, 0]
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=lambda r: r.key())
+def test_linear_operations_canonicalize_once(ring, monkeypatch):
+    # the constructor reduces mod M in one pass; no coefficient goes
+    # through ring.normalize on its own
+    x, y = series(ring, 3, 0, 4, 1), series(ring, 4, 4, 1, 1)
+    norm = ring.normalize
+    monkeypatch.setattr(CoefficientRing, "normalize", None)
+    assert (x + y).coeffs == list(map(norm, (7, 4, 5, 2)))
+    assert (x - y).coeffs == list(map(norm, (-1, -4, 3, 0)))
+    assert (-x).coeffs == list(map(norm, (-3, 0, -4, -1)))
+    assert x.scale(-3).coeffs == list(map(norm, (-9, 0, -12, -3)))
 
 
 # --- randomized invariants --------------------------------------------------

@@ -1,15 +1,19 @@
 """Theta summation, the triple-product checks, and the prime dissection of
 Euler's product."""
 
+import random
+
 import pytest
 
-from qbracelet import EXACT, TruncatedSeries, euler_series, theta_f
+from qbracelet import EXACT, Mod, TruncatedSeries, euler_series, theta_f
 from qbracelet.products import ProductSpec, product_series
 from qbracelet.theta import (
     PrimeContext,
     UnsupportedSpecializationError,
     jacobi_triple_check,
     p_dissection_f,
+    pentagonal_terms,
+    theta_terms,
 )
 
 
@@ -30,11 +34,63 @@ def test_theta_sum_of_squares():
     assert s.coeffs == [1, 2, 0, 0, 2, 0, 0, 0, 0, 2, 0]
 
 
+def _brute_terms(x, y, sx, sy, n):
+    """The terms of f(sx q^x, sy q^y) up to q^n, summed over |k| <= 60: for
+    x + y >= 1 every exponent past k = 60 is at least 60 * 59 / 2 > 400."""
+    terms = []
+    for k in range(-60, 61):
+        tx, ty = k * (k + 1) // 2, k * (k - 1) // 2
+        if x * tx + y * ty <= n:
+            terms.append((x * tx + y * ty, sx**tx * sy**ty))
+    return terms
+
+
+def test_theta_f_matches_a_brute_force_sum():
+    rng = random.Random(1913)
+    for _ in range(300):
+        x, y = rng.randrange(31), rng.randrange(31)
+        if x + y == 0:
+            continue
+        sx, sy = rng.choice((1, -1)), rng.choice((1, -1))
+        n = rng.randrange(401)
+        expect = _brute_terms(x, y, sx, sy, n)
+        # the stop is exact: no term past q^n, none short of it missed
+        assert sorted(theta_terms(x, y, sx, sy, n)) == sorted(expect)
+        cs = [0] * (n + 1)
+        for e, sign in expect:
+            cs[e] += sign
+        assert theta_f(x, y, sx, sy, n).coeffs == cs
+        assert theta_f(x, y, sx, sy, n, Mod(7)) == TruncatedSeries(Mod(7), cs)
+
+
+@pytest.mark.parametrize("n, t", [(0, 1), (1, 1), (2, 1), (7, 1), (1000, 1), (30, 3), (4, 5)])
+def test_pentagonal_terms_are_sorted_with_one_first(n, t):
+    expect = [(0, 1)]
+    for k in range(1, 40):
+        expect += [(t * g, (-1) ** k) for g in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2)]
+    assert pentagonal_terms(n, t) == [(e, sign) for e, sign in expect if e <= n]
+
+
 def test_theta_rejects_degenerate_arguments():
     with pytest.raises(ValueError):
         theta_f(0, 0, 1, 1, 10)
     with pytest.raises(ValueError):
         theta_f(1, 2, 0, 1, 10)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: theta_f(0, 0, 1, 1, 10), "theta specialization needs x + y >= 1"),
+    (lambda: theta_f(1, 2, 0, 1, 10), "signs must be +1 or -1"),
+    (lambda: theta_terms(-1, 2, 1, 1, 10), "exponent parameters must be >= 0"),
+    (lambda: theta_f(1, 2, -1, -1, -1),
+     "a truncated series needs at least the q^0 coefficient"),
+    (lambda: pentagonal_terms(10, 0), "scale must be >= 1"),
+    (lambda: euler_series(10, 0), "scale must be >= 1"),
+])
+def test_theta_refusals_keep_their_messages(make, message):
+    with pytest.raises(ValueError) as excinfo:
+        make()
+    assert str(excinfo.value) == message
 
 
 def test_euler_series_scaled():

@@ -118,6 +118,29 @@ def test_refusals_keep_their_messages(make, message):
     assert str(excinfo.value) == message
 
 
+# The same table for a valid value given bad fields by ``_replace``, and by
+# ``_make``, which ``_replace`` calls.
+@pytest.mark.parametrize("value, fields, message", [
+    (Mod(5), {"modulus": 1}, "modulus must be >= 2, got 1"),
+    (PochhammerFactor(-1, 1, 2), {"sign": 0}, "sign must be +1 or -1"),
+    (PochhammerFactor(-1, 1, 2), {"offset": 0}, "offset must be >= 1"),
+    (PochhammerFactor(-1, 1, 2), {"step": 0}, "step must be >= 1"),
+    (_claim(), {"step": 0}, "X1: step must be >= 1"),
+    (_claim(), {"modulus": 1}, "X1: modulus must be >= 2, got 1"),
+    (_claim(), {"residue": -3}, "X1: residue and n bound must be >= 0"),
+    (_claim(), {"modulus": None}, "X1: a claim needs a modulus or an rhs_source"),
+    (PrimeContext(7), {"p": 9}, "p must be a prime >= 5, got 9"),
+], ids=lambda x: str(x) if isinstance(x, (dict, str)) else type(x).__name__)
+def test_replace_and_make_refuse_like_the_constructor(value, fields, message):
+    assert value._replace() == value == type(value)._make(value)
+    with pytest.raises(ValueError) as excinfo:
+        value._replace(**fields)
+    assert str(excinfo.value) == message
+    with pytest.raises(ValueError) as excinfo:
+        type(value)._make({**value._asdict(), **fields}.values())
+    assert str(excinfo.value) == message
+
+
 # (source key, ring key, order) of every build of ``verify --all``.  A cache
 # key that merged two of these, or split one, would change the list.
 VERIFY_ALL_BUILDS = [

@@ -14,6 +14,8 @@ from qbracelet.rings import EXACT, Mod
 from qbracelet.sources import (
     bracelet_source,
     euler_source,
+    expand_source,
+    lregular_source,
     parse_source,
     partition_source,
     product_source,
@@ -227,6 +229,19 @@ def test_progression_refuses_a_negative_n_max():
         progression(TruncatedSeries(EXACT, [1, 2, 3]), 1, 0, -3)
 
 
+@pytest.mark.parametrize(
+    "step, residue, n_max", [(-1, 5, 3), (1, -2, 0), (0, 3, 3), (0, 0, 0), (-2, -1, 0)]
+)
+def test_progression_refuses_a_step_below_one_or_a_negative_residue(step, residue, n_max):
+    # a slice of (q;q) to q^20 gives [1, 0] for -1n+5 to n=3, the
+    # coefficient of q^19 for 1n-2, and Python's own error for step 0
+    series = SeriesCache().get(euler_source(1), EXACT, 20)
+    message = f"progression {step}n+{residue} needs step >= 1 and residue >= 0"
+    with pytest.raises(ValueError) as excinfo:
+        progression(series, step, residue, n_max)
+    assert str(excinfo.value) == message
+
+
 def test_progression_refuses_n_max_minus_one():
     # 5n+4 to n=-1 would be the empty list
     x = TruncatedSeries(EXACT, list(range(10)))
@@ -303,3 +318,67 @@ def test_a_claim_too_long_to_print_is_an_error_report():
     reports_to_json([report])
     (report,) = verify([make_claim(modulus=10**5000)])
     assert report.message == f"modulus has more than {sys.get_int_max_str_digits()} digits"
+
+
+def _two_source_claims():
+    # X1 reads bracelet:5; X2 partition; X3 bracelet:5 and, on its right
+    # side, lregular:5 (B_5(10n+2) == b_5(n) mod 2)
+    return [
+        make_claim(),
+        make_claim(claim_id="X2", source=partition_source(), step=5, residue=4,
+                   modulus=5),
+        make_claim(claim_id="X3", residue=2, rhs_source=lregular_source(5)),
+    ]
+
+
+def _json_rows(reports):
+    return [{**row, "elapsed_ms": None} for row in json.loads(reports_to_json(reports))]
+
+
+@pytest.mark.parametrize(
+    "broken, errors",
+    [("bracelet:5", {"X1", "X3"}), ("lregular:5", {"X3"}), ("partition", {"X2"})],
+)
+def test_a_failed_build_errors_only_the_claims_that_need_it(monkeypatch, broken, errors):
+    engine = sys.modules["qbracelet.verify"]  # qbracelet.verify is the function
+
+    def expand(source, ring, order):
+        if source.key() == broken:
+            raise RuntimeError(f"cannot build {broken}")
+        return expand_source(source, ring, order)
+
+    good = verify(_two_source_claims())
+    assert [r.status for r in good] == ["pass"] * 3
+    monkeypatch.setattr(engine, "expand_source", expand)
+    reports = verify(_two_source_claims())
+    assert [r.claim_id for r in reports] == ["X1", "X2", "X3"]
+    for report, expect, row in zip(reports, good, _json_rows(good)):
+        if report.claim_id in errors:
+            assert (report.status, report.message) == (
+                "error", f"RuntimeError: cannot build {broken}"
+            )
+            assert (report.n_checked, report.elapsed_ms) == (0, 0.0)
+            assert report.truncation == expect.truncation
+        else:
+            assert report.status == "pass"
+            assert _json_rows([report]) == [row]
+    assert [set(row) for row in _json_rows(reports)] == [set(row) for row in _json_rows(good)]
+
+
+def test_a_failed_comparison_is_an_error_report(monkeypatch):
+    engine = sys.modules["qbracelet.verify"]
+
+    def short(source, ring, order):  # one coefficient short of the request
+        series = expand_source(source, ring, order)
+        return series.resized(order - 1) if source.key() == "bracelet:5" else series
+
+    monkeypatch.setattr(engine, "expand_source", short)
+    reports = verify(_two_source_claims())
+    # X3 needs only 10*50+2 of the 505 coefficients built for X1's 10*50+6
+    assert [(r.claim_id, r.status) for r in reports] == [
+        ("X1", "error"), ("X2", "pass"), ("X3", "pass"),
+    ]
+    assert reports[0].message == (
+        "ValueError: progression 10n+6 to n=50 exceeds series order 505"
+    )
+    assert reports[0].n_checked == 0
