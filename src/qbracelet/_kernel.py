@@ -64,16 +64,19 @@ def _unpack(value: int, lane: int, count: int) -> list[int]:
 def conv_mod(x: list[int], y: list[int], n_out: int, m: int) -> list[int]:
     """Coefficients 0..n_out of x*y, entries canonical in [0, m).
 
-    Inputs must already be canonical representatives.
+    Inputs must already be canonical representatives.  A square (x is y)
+    is packed once and multiplied by itself, which CPython squares.
     """
+    square = x is y
     x = x[: n_out + 1]
-    y = y[: n_out + 1]
+    y = x if square else y[: n_out + 1]
     count = n_out + 1
     terms = min(len(x), len(y))
     # Largest possible lane value: sum of <= terms products of values <= m-1.
     lane = _lane_bytes((m - 1) * (m - 1) * terms + 1)
-    prod = _pack(x, lane) * _pack(y, lane)
-    return [c % m for c in _unpack(prod, lane, count)]
+    px = _pack(x, lane)
+    py = px if square else _pack(y, lane)
+    return [c % m for c in _unpack(px * py, lane, count)]
 
 
 def _repeat(value: int, lane: int, count: int) -> int:
@@ -89,16 +92,18 @@ def conv_exact(x: list[int], y: list[int], n_out: int) -> list[int]:
     lane, and b in each of its lanes is taken off the packed integer again,
     which leaves sum x_i z^i (z the lane base; the integer may be negative).
     Adding b to every output lane before unpacking puts each lane in
-    [0, 2b]; b is taken off again after.
+    [0, 2b]; b is taken off again after.  A square (x is y) is packed
+    once and multiplied by itself.
     """
+    square = x is y
     x = x[: n_out + 1]
-    y = y[: n_out + 1]
+    y = x if square else y[: n_out + 1]
     count = n_out + 1
     mx = max(map(abs, x))
     my = max(map(abs, y))
     bias = max(mx, my, mx * my * min(len(x), len(y)))
     lane = _lane_bytes(2 * bias + 1)
     px = _pack([c + bias for c in x], lane) - _repeat(bias, lane, len(x))
-    py = _pack([c + bias for c in y], lane) - _repeat(bias, lane, len(y))
+    py = px if square else _pack([c + bias for c in y], lane) - _repeat(bias, lane, len(y))
     lanes = _unpack(px * py + _repeat(bias, lane, count), lane, count)
     return [c - bias for c in lanes]

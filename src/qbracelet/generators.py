@@ -56,6 +56,14 @@ and R is reduced mod M once: B_125 mod 5 is 183 slices of 101
 coefficients at m = 12,526 instead of a convolution of that order.  A
 numerator with more terms than STRIDED_PRODUCT_RATIO allows is multiplied
 by one convolution with the inverse inflated by h.
+
+Ramanujan's a(q) and b(q) are general products, expanded by
+:func:`product_series` (:func:`ramanujan_a`, :func:`ramanujan_b`), the
+definitional route.  :func:`euler_quintic_rhs` builds them by the Jacobi
+triple product instead, (q^a, q^{25-a}, q^25; q^25) = f(-q^a, -q^{25-a}):
+a(q) = f(-q^10, -q^15) / f(-q^5, -q^20) and b(q) = 1/a(q), each a dense
+theta series divided by the sparse terms of the other, bottom-up over Z,
+then multiplied by the pentagonal terms of (q^25;q^25) in place.
 """
 
 from __future__ import annotations
@@ -68,7 +76,7 @@ from .oracles import MR_EXACT_BELOW, is_prime
 from .products import ProductSpec, product_series
 from .rings import EXACT, CoefficientRing, Mod
 from .series import TruncatedSeries
-from .theta import euler_series, pentagonal_terms
+from .theta import euler_series, pentagonal_terms, theta_f, theta_terms
 
 # The strided product of a numerator with nnz(N) nonzero terms by an
 # inverse in q^h costs nnz(N) * (m // h + 1) slice steps; it is taken while
@@ -322,9 +330,24 @@ def ramanujan_b(n: int, ring: CoefficientRing = EXACT) -> TruncatedSeries:
     return product_series(RAMANUJAN_B_SPEC, n, ring)
 
 
+def _theta_quotient(num: int, den: int, n: int) -> list[int]:
+    """f(-q^num, -q^{25-num}) / f(-q^den, -q^{25-den}) over Z to order n:
+    the dense numerator divided by the sparse denominator's terms, bottom-up."""
+    cs = theta_f(num, 25 - num, -1, -1, n).coeffs
+    _divide(cs, sorted(theta_terms(den, 25 - den, -1, -1, n)))
+    return cs
+
+
 def euler_quintic_rhs(n: int, ring: CoefficientRing = EXACT) -> TruncatedSeries:
-    """(q^25;q^25) * (a(q) - q - q^2 b(q)): the 25-step assembly of (q;q)."""
-    a = ramanujan_a(n, ring)
-    b = ramanujan_b(n, ring)
-    q1 = TruncatedSeries.monomial(ring, n, 1)
-    return euler_series(n, 25, ring) * (a - q1 - b.shift(2))
+    """(q^25;q^25) * (a(q) - q - q^2 b(q)): the 25-step assembly of (q;q),
+    from the theta quotients of a(q) and b(q) over Z (see the module
+    docstring), reduced into the ring once."""
+    if n < 0:
+        raise ValueError("order must be >= 0")
+    cs = _theta_quotient(10, 5, n)
+    b = _theta_quotient(5, 10, n)
+    if n >= 1:
+        cs[1] -= 1
+    cs[2:] = map(sub, cs[2:], b)
+    _multiply(cs, pentagonal_terms(n, 25))
+    return TruncatedSeries(ring, cs)

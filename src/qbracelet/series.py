@@ -119,17 +119,15 @@ class TruncatedSeries:
         step doubles the number of correct coefficients, so the total cost
         is a constant number of full-order convolutions.
         """
-        ring = self.ring
-        inv0 = ring.unit_inverse(self.coeffs[0])  # raises NotInvertibleError
+        ring, m = self.ring, self.ring.modulus
+        b = [ring.unit_inverse(self.coeffs[0])]  # canonical; raises NotInvertibleError
         n = self.order
-        norm = ring.normalize
-        b = [norm(inv0)]
         prec = 1
         while prec <= n:
             prec = min(2 * prec, n + 1)
             xb = _conv(ring, self.coeffs[:prec], b, prec - 1)
-            t = [norm(-c) for c in xb]
-            t[0] = norm(2 - xb[0])
+            xb[0] -= 2  # t = 2 - x b, negated in one pass
+            t = [-c for c in xb] if m is None else [-c % m for c in xb]
             b = _conv(ring, b, t, prec - 1)
         return TruncatedSeries(ring, b, normalize=False)
 

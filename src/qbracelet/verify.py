@@ -155,7 +155,8 @@ def _compare(
         for source, step, residue, order in sides
     ]
     if rest:
-        right = [ring.normalize(claim.rhs_sign * c) for c in rest[0]]
+        sign, m, rhs = claim.rhs_sign, ring.modulus, rest[0]
+        right = [sign * c for c in rhs] if m is None else [sign * c % m for c in rhs]
     else:
         right = [0] * len(left)
     for n in range(n_max + 1):

@@ -41,6 +41,7 @@ from qbracelet.sources import (
     parse_source,
     partition_source,
 )
+from qbracelet.theta import theta_f
 from qbracelet.verify import DEFAULT_ORDER_CAP_EXACT, SeriesCache, verify
 
 
@@ -130,6 +131,32 @@ def test_ramanujan_a_matches_its_spec():
 def test_euler_quintic_assembly():
     n = 1000
     assert euler_quintic_rhs(n) == euler_series(n)
+
+
+@pytest.mark.parametrize("ring", [EXACT, Mod(2), Mod(5), Mod(121)], ids=lambda r: r.key())
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 1000])
+def test_quintic_theta_route_matches_products(ring, n):
+    # the theta quotients against (q^25;q^25)(a - q - q^2 b) with a(q) and
+    # b(q) expanded by product_series, the definitional binomial chains
+    q1 = TruncatedSeries.monomial(ring, n, 1)
+    a, b = ramanujan_a(n, ring), ramanujan_b(n, ring)
+    assert euler_quintic_rhs(n, ring) == euler_series(n, 25, ring) * (a - q1 - b.shift(2))
+
+
+@pytest.mark.parametrize("a", [5, 10])
+def test_quintic_thetas_are_their_triple_products(a):
+    # f(-q^a, -q^{25-a}) = (q^a, q^{25-a}, q^25; q^25), the identity the
+    # theta route of quintic_euler rests on
+    n = 1000
+    spec = ProductSpec.of((-1, a, 25, 1), (-1, 25 - a, 25, 1), (-1, 25, 25, 1))
+    assert theta_f(a, 25 - a, -1, -1, n) == product_series(spec, n)
+
+
+def test_quintic_euler_makes_no_product_or_convolution(kernel_calls, monkeypatch):
+    conv_exact_calls = kernel_calls("conv_exact")
+    monkeypatch.setattr(generators, "product_series", None)
+    assert euler_quintic_rhs(1000) == euler_series(1000)
+    assert conv_exact_calls == []
 
 
 FAMILY_KINDS = ("partition", "lregular", "brokendiamond", "bracelet")

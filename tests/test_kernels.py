@@ -51,6 +51,29 @@ def test_conv_exact_huge_coefficients():
     assert _kernel.conv_exact(x, y, 3) == conv_reference(x, y, 3)
 
 
+@pytest.mark.parametrize("m", [2, 5, 121, 2**40 + 15])
+@pytest.mark.parametrize("n", [0, 1, 7, 300])
+def test_conv_mod_square_equals_product_of_copies(m, n):
+    # x is y takes the pack-once squaring path
+    rng = random.Random(m + n)
+    for size in (1, n // 2 + 1, n + 1, n + 5):
+        x = [rng.randrange(m) for _ in range(size)]
+        square = _kernel.conv_mod(x, x, n, m)
+        assert square == _kernel.conv_mod(x, list(x), n, m)
+        assert square == [c % m for c in conv_reference(x, x, n)]
+
+
+@pytest.mark.parametrize("bound", [1, 10**3, 10**40])
+@pytest.mark.parametrize("n", [0, 1, 7, 300])
+def test_conv_exact_square_equals_product_of_copies(bound, n):
+    rng = random.Random(bound + n)
+    for size in (1, n // 2 + 1, n + 1, n + 5):
+        x = [rng.randrange(-bound, bound + 1) for _ in range(size)]
+        square = _kernel.conv_exact(x, x, n)
+        assert square == _kernel.conv_exact(x, list(x), n)
+        assert square == conv_reference(x, x, n)
+
+
 def test_conv_zero_and_scalar():
     assert _kernel.conv_exact([0, 0], [0], 1) == [0, 0]
     assert _kernel.conv_mod([1], [1], 4, 7) == [1, 0, 0, 0, 0]

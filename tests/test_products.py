@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qbracelet import EXACT, Mod, TruncatedSeries, products, theta
-from qbracelet.generators import bracelet_definition_spec, euler_quintic_rhs
+from qbracelet.generators import bracelet_definition_spec, ramanujan_a, ramanujan_b
 from qbracelet.oracles import count_partitions, partition_numbers
 from qbracelet.products import (
     PochhammerFactor,
@@ -217,10 +217,10 @@ def test_chains_are_called_through_their_module_names(monkeypatch):
     "build",
     [
         lambda: product_series(ProductSpec.parse("1,1,4,-2"), 2000),
-        lambda: euler_quintic_rhs(1000),
+        lambda: (ramanujan_a(1000), ramanujan_b(1000)),
         lambda: product_series(ProductSpec.parse("-1,1,5,-3;1,2,5,1"), 600, Mod(25)),
     ],
-    ids=["1,1,4,-2-exact-2000", "quintic_euler-exact-1000", "-1,1,5,-3;1,2,5,1-mod25-600"],
+    ids=["1,1,4,-2-exact-2000", "ramanujan_a_b-exact-1000", "-1,1,5,-3;1,2,5,1-mod25-600"],
 )
 def test_product_series_never_inverts(monkeypatch, build):
     calls = []

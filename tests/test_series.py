@@ -224,6 +224,22 @@ def test_linear_operations_canonicalize_once(ring, monkeypatch):
     assert x.scale(-3).coeffs == list(map(norm, (-9, 0, -12, -3)))
 
 
+@pytest.mark.parametrize("ring", [EXACT, Mod(5), Mod(121)], ids=lambda r: r.key())
+def test_invert_canonicalizes_once(ring, monkeypatch):
+    # each Newton step negates its product in one pass; the coefficients
+    # are those of the bottom-up division b_i = -b_0 sum_j x_j b_{i-j}
+    rng = random.Random(121)
+    x = random_series(rng, ring, 300)
+    x = TruncatedSeries(ring, [1] + x.coeffs[1:])
+    norm = ring.normalize
+    b = [1]
+    for i in range(1, 301):
+        b.append(norm(-sum(x.coeffs[j] * b[i - j] for j in range(1, i + 1))))
+    monkeypatch.setattr(CoefficientRing, "normalize", None)
+    assert x.invert().coeffs == b
+    assert x.scale(-1).invert().coeffs == [norm(-c) for c in b]
+
+
 # --- randomized invariants --------------------------------------------------
 
 
