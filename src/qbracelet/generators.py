@@ -15,16 +15,27 @@ any other factors to the binomial chains of :func:`product_series`.
 :func:`eta_quotient` has three routes, chosen by the ring.
 
 Over Z: pentagonal recurrences.  Each (q^t;q^t) has about
-2 sqrt(2n/3t) nonzero terms up to q^n.  The factor with the largest |e_t|
-(then the smallest t) is raised to its power by Miller's recurrence at
-order n // t and inflated by t; every other factor with |e_t| == 1 is
-applied in place, multiplying by shift-and-add or dividing by the
-bottom-up recurrence f_i = c_i - sum_j s_j f_{i-j}.  That is O(n sqrt n)
-small-by-bignum operations, where the convolutions and Newton inversion
-of the modular route would multiply bignums of hundreds of bits.  A
-non-lead factor with |e_t| > 1 is raised by the power recurrence too and
-multiplied in once, so no cost grows with |e_t|; only such a quotient
-makes a convolution here.
+2 sqrt(2n/3t) nonzero terms up to q^n, all +1 or -1, and Jacobi's cube
+(q;q)^3 = sum_k (-1)^k (2k+1) q^{k(k+1)/2} about sqrt(2n).  The factor
+with the largest |e_t| (then the smallest t) is the lead.  It is raised
+to its power by a route chosen by its exponent, at order n // t and
+inflated by t (the terms of e_t == 1 are placed at full order):
+
+    e_t == 1    the pentagonal terms, placed
+    e_t == 3    the cube's terms, placed
+    e_t == -1   1 divided bottom-up by the pentagonal terms: additions only
+    e_t == -3   1 divided bottom-up by the cube's terms: small multipliers
+    otherwise   Miller's recurrence over the pentagonal terms, its sums
+                split by sign so that no step multiplies by a +-1
+
+Every other factor with |e_t| == 1 is applied in place, multiplying by
+shift-and-add or dividing by the bottom-up recurrence
+f_i = c_i - sum_j s_j f_{i-j}, so when every |e_t| is 1 no power
+recurrence runs at all.  That is O(n sqrt n) small-by-bignum operations,
+where the convolutions and Newton inversion of the modular route would
+multiply bignums of hundreds of bits.  A non-lead factor with |e_t| > 1
+is raised by the same routes and multiplied in once, so no cost grows
+with |e_t|; only such a quotient makes a convolution here.
 
 Over Z/2: one bitset, no convolution.  Mod 2, (q^t;q^t)^{2^k} ==
 (q^{t 2^k};q^{t 2^k}), which is 1 up to q^n once t 2^k > n.  So each
@@ -76,7 +87,7 @@ from .oracles import MR_EXACT_BELOW, is_prime
 from .products import ProductSpec, product_series
 from .rings import EXACT, CoefficientRing, Mod
 from .series import TruncatedSeries
-from .theta import euler_series, pentagonal_terms, theta_f, theta_terms
+from .theta import cube_terms, euler_series, pentagonal_terms, theta_f, theta_terms
 
 # The strided product of a numerator with nnz(N) nonzero terms by an
 # inverse in q^h costs nnz(N) * (m // h + 1) slice steps; it is taken while
@@ -156,61 +167,103 @@ def _modular_quotient(
 
 def _power(terms: list[tuple[int, int]], alpha: int, n: int) -> list[int]:
     """(f / f_0)^alpha to order n, f the sum of the sorted terms
-    (exponent, coefficient) with (0, f_0) first, by Miller's recurrence
+    (exponent, coefficient) with (0, f_0) first and every later coefficient
+    +1 or -1, by Miller's recurrence
     m f_0 g_m = sum_{j>=1} ((alpha+1) j - m) f_j g_{m-j} (Knuth, TAOCP
-    vol. 2, 4.7).  Every division is checked: a remainder means f was not
-    the series the caller meant, and raises ArithmeticError."""
+    vol. 2, 4.7).  The terms are split by sign, with u_j = (alpha+1) j
+    taken once, so each step sums (u_j - m) g_{m-j} over the +1 terms and
+    over the -1 terms and subtracts: f_j multiplies nothing.  Step m sums
+    only the terms with j <= m.  A later coefficient other than +1 or -1
+    raises ValueError.  Every division is checked: a remainder means f was
+    not the series the caller meant, and raises ArithmeticError."""
     (_, f0), *rest = terms
-    top = rest[-1][0] if rest else 0
-    g = [0] * top + [1] + [0] * n  # g_m is g[top + m]; the pad reads as zero
+    if any(c not in (1, -1) for _, c in rest):
+        raise ValueError("power recurrence: the terms past f_0 must be +1 or -1")
+    g = [1] + [0] * n
+    plus, minus, k = [], [], 0  # (u_j, j) of the terms with j <= m, by sign
     for m in range(1, n + 1):
-        i = top + m
-        total = sum(((alpha + 1) * j - m) * c * g[i - j] for j, c in rest)
-        g[i], r = divmod(total, m * f0)
+        while k < len(rest) and rest[k][0] <= m:
+            j, c = rest[k]
+            (plus if c == 1 else minus).append(((alpha + 1) * j, j))
+            k += 1
+        total = sum((u - m) * g[m - j] for u, j in plus) - sum(
+            (u - m) * g[m - j] for u, j in minus
+        )
+        g[m], r = divmod(total, m * f0)
         if r:
             raise ArithmeticError(
                 f"power recurrence: coefficient {m} of (f/f_0)^{alpha} is not integral"
             )
-    return g[top:]
+    return g
+
+
+def _past_one(terms: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    """The terms past the first of a series that must start with (0, 1).
+    Any other first term means the terms are not the series the caller
+    meant, and raises ArithmeticError."""
+    if terms[0] != (0, 1):
+        raise ArithmeticError(f"expected the constant term (0, 1), got {terms[0]}")
+    return terms[1:]
 
 
 def _multiply(cs: list[int], terms: list[tuple[int, int]]) -> None:
-    """cs *= 1 + sum_{j>=1} s_j q^j in place: add each shifted copy of
-    the old cs, truncated at the order of cs."""
+    """cs *= 1 + sum_{j>=1} s_j q^j in place, s_j = +1 or -1: add or
+    subtract each shifted copy of the old cs, truncated at the order of cs."""
     old = cs[:]
-    for j, sign in terms[1:]:
+    for j, sign in _past_one(terms):
         cs[j:] = map(add if sign > 0 else sub, cs[j:], old)
 
 
 def _divide(cs: list[int], terms: list[tuple[int, int]]) -> None:
     """cs /= 1 + sum_{j>=1} s_j q^j in place, bottom-up:
-    f_i = c_i - sum_j s_j f_{i-j}."""
-    plus = [j for j, sign in terms[1:] if sign > 0]
-    minus = [j for j, sign in terms[1:] if sign < 0]
-    top = terms[-1][0]
-    f = [0] * top + cs  # c_i is f[top + i]; the pad reads as zero
-    for i in range(top + 1, len(f)):
-        f[i] += sum(f[i - j] for j in minus) - sum(f[i - j] for j in plus)
-    cs[:] = f[top:]
+    f_i = c_i - sum_{j<=i} s_j f_{i-j}.  The sums are split by sign.  When
+    every s_j is +1 or -1 (pentagonal and theta terms) they make no
+    multiply; other s_j (Jacobi's cube) multiply f_{i-j} by |s_j|."""
+    rest = _past_one(terms)
+    unit = all(s in (1, -1) for _, s in rest)
+    plus, minus, k = [], [], 0  # the terms with j <= i, by sign
+    for i in range(1, len(cs)):
+        while k < len(rest) and rest[k][0] <= i:
+            j, s = rest[k]
+            (plus if s > 0 else minus).append(j if unit else (abs(s), j))
+            k += 1
+        if unit:
+            cs[i] += sum(cs[i - j] for j in minus) - sum(cs[i - j] for j in plus)
+        else:
+            cs[i] += sum(w * cs[i - j] for w, j in minus) - sum(
+                w * cs[i - j] for w, j in plus
+            )
 
 
 def _eta_power(t: int, e: int, n: int) -> list[int]:
-    """(q^t;q^t)^e over Z to order n: the pentagonal terms themselves when
-    e == 1, else the power recurrence at order n // t inflated by t."""
+    """(q^t;q^t)^e over Z to order n.  When e == 1 the pentagonal terms
+    are placed at full order; every other e is built at order m = n // t
+    and inflated by t: e == 3 places the terms of Jacobi's cube, e == -1
+    and e == -3 divide 1 bottom-up by the pentagonal terms or the cube's,
+    and any other e takes the power recurrence."""
     if e == 1:
         return euler_series(n, t).coeffs
     m = n // t
+    if e == 3:
+        g = [0] * (m + 1)
+        for j, c in cube_terms(m):
+            g[j] = c
+    elif e in (-1, -3):
+        g = [1] + [0] * m
+        _divide(g, pentagonal_terms(m) if e == -1 else cube_terms(m))
+    else:
+        g = _power(pentagonal_terms(m), e, m)
     cs = [0] * (n + 1)
-    cs[::t] = _power(pentagonal_terms(m), e, m)
+    cs[::t] = g
     return cs
 
 
 def _pentagonal_quotient(live: dict[int, int], n: int) -> TruncatedSeries:
     """prod_t (q^t;q^t)^{e_t} over Z to order n, for nonzero e_t and
-    1 <= t <= n: the lead factor (largest |e_t|, then smallest t) by the
-    power recurrence; every other factor applied in place when |e_t| == 1,
-    else raised by the recurrence and multiplied in once, so the cost does
-    not grow with |e_t|."""
+    1 <= t <= n: the lead factor (largest |e_t|, then smallest t) by
+    :func:`_eta_power`, whose route its exponent picks; every other factor
+    applied in place when |e_t| == 1, else raised by :func:`_eta_power` and
+    multiplied in once, so the cost does not grow with |e_t|."""
     if not live:
         return TruncatedSeries.one(EXACT, n)
     lead = min(live, key=lambda t: (-abs(live[t]), t))

@@ -77,6 +77,19 @@ def pentagonal_terms(n: int, scale: int = 1) -> list[tuple[int, int]]:
     return theta_terms(scale, 2 * scale, -1, -1, n)
 
 
+def cube_terms(n: int) -> list[tuple[int, int]]:
+    """The nonzero terms (exponent, coefficient) of Jacobi's cube
+    (q;q)_inf^3 = sum_{k>=0} (-1)^k (2k+1) q^{k(k+1)/2} up to q^n, by
+    increasing exponent: (0, 1) first, then about sqrt(2n) more."""
+    terms = []
+    k, e = 0, 0
+    while e <= n:
+        terms.append((e, -(2 * k + 1) if k & 1 else 2 * k + 1))
+        k += 1
+        e += k
+    return terms
+
+
 def euler_series(
     n: int, scale: int = 1, ring: CoefficientRing = EXACT
 ) -> TruncatedSeries:

@@ -41,7 +41,7 @@ from qbracelet.sources import (
     parse_source,
     partition_source,
 )
-from qbracelet.theta import theta_f
+from qbracelet.theta import cube_terms, pentagonal_terms, theta_f
 from qbracelet.verify import DEFAULT_ORDER_CAP_EXACT, SeriesCache, verify
 
 
@@ -322,6 +322,100 @@ def test_corrupted_pentagonal_terms_raise(monkeypatch):
     monkeypatch.setattr(generators, "pentagonal_terms", corrupted)
     with pytest.raises(ArithmeticError):
         expand_source(bracelet_source(5), EXACT, 100)
+    # the division and in-place routes (leads -1 and -3, the factors with
+    # |e_t| == 1) refuse any constant term but 1
+    for key in ("partition", "lregular:9", "brokendiamond:6", "bracelet:3"):
+        with pytest.raises(ArithmeticError):
+            expand_source(parse_source(key), EXACT, 100)
+
+
+@pytest.mark.parametrize("apply", [generators._multiply, generators._divide])
+@pytest.mark.parametrize("terms", [
+    [(0, 2), (1, -1), (2, -1)],  # unit terms
+    [(0, 2), (1, -3), (3, 5)],  # weighted terms: the cube's divide
+    [(1, -1), (2, -1)],  # no constant term
+], ids=["unit", "weighted", "missing"])
+def test_in_place_routes_refuse_a_constant_term_but_one(apply, terms):
+    with pytest.raises(ArithmeticError, match="constant term"):
+        apply([1] + [0] * 10, terms)
+
+
+def test_power_refuses_terms_other_than_unit():
+    # the recurrence's sums are split by sign, so it takes only +1 and -1
+    # past f_0; Jacobi's cube has 3, 5, ... and is refused, not misread
+    with pytest.raises(ValueError, match=r"must be \+1 or -1"):
+        generators._power(cube_terms(50), -2, 50)
+    with pytest.raises(ValueError, match=r"must be \+1 or -1"):
+        generators._power([(0, 1), (1, -1), (2, 2)], 3, 10)
+    assert generators._power([(0, 1), (1, -1)], -1, 5) == [1] * 6
+
+
+def _record(monkeypatch, name):
+    """Record the arguments of every call to generators.<name>."""
+    calls = []
+    real = getattr(generators, name)
+
+    def recording(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(generators, name, recording)
+    return calls
+
+
+# (family source or None, exponent map, _power calls, the divisors that
+# _divide gets, in call order)
+LEAD_ROUTES = [
+    ("partition", {1: -1}, 0, ["pentagonal"]),
+    (None, {1: -3}, 0, ["cube"]),
+    (None, {1: 1}, 0, []),
+    (None, {1: 3}, 0, []),
+    ("lregular:9", {1: -1, 9: 1}, 0, ["pentagonal"]),
+    ("brokendiamond:6", {1: -3, 2: 1, 13: 1, 26: -1}, 0, ["cube", "pentagonal"]),
+    ("bracelet:5", {1: -5, 2: 1, 5: 1, 10: -1}, 1, ["pentagonal"]),
+    (None, {1: 2, 3: -1}, 1, ["pentagonal"]),
+]
+
+
+@pytest.mark.parametrize(
+    "key, exponents, power_calls, divisors", LEAD_ROUTES,
+    ids=[key or str(exponents) for key, exponents, _, _ in LEAD_ROUTES],
+)
+def test_lead_exponent_picks_its_route(monkeypatch, key, exponents, power_calls, divisors):
+    # leads -1 and -3 divide, 1 and 3 place their terms, and only other
+    # exponents run the power recurrence, once
+    powers = _record(monkeypatch, "_power")
+    divides = _record(monkeypatch, "_divide")
+    n = 400
+    got = eta_quotient(exponents, n)
+    assert len(powers) == power_calls
+    kinds = ["cube" if any(abs(c) > 1 for _, c in terms) else "pentagonal"
+             for _, terms in divides]
+    assert kinds == divisors
+    if key is not None:  # the map is the family's normal form
+        assert expand_source(parse_source(key), EXACT, n) == got
+
+
+# eta maps whose lead (and, last, non-lead) factors take each exact route,
+# at steps 1 and above, against the definitional binomial chains
+EXACT_ROUTE_MAPS = [
+    {1: -1}, {1: -3}, {1: 1}, {1: 3}, {2: -1, 5: 1}, {2: -3, 3: 1}, {3: 3, 1: -1},
+    {1: -5, 2: -3, 3: 3},
+]
+
+
+@pytest.mark.parametrize("exponents", EXACT_ROUTE_MAPS, ids=str)
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 400])
+def test_exact_routes_match_the_definition(exponents, n):
+    spec = ProductSpec.of(*((-1, t, t, e) for t, e in exponents.items()))
+    assert eta_quotient(exponents, n) == product_series(spec, n, EXACT)
+
+
+@pytest.mark.parametrize("e", [-3, -1, 1, 3])
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 400, 2000])
+def test_placed_and_divided_powers_match_the_recurrence(e, n):
+    # each route the power recurrence no longer takes, against it
+    assert generators._eta_power(1, e, n) == generators._power(pentagonal_terms(n), e, n)
 
 
 def test_expand_product_multiplies_its_parts_once(kernel_calls):

@@ -10,6 +10,7 @@ from qbracelet.products import ProductSpec, product_series
 from qbracelet.theta import (
     PrimeContext,
     UnsupportedSpecializationError,
+    cube_terms,
     jacobi_triple_check,
     p_dissection_f,
     pentagonal_terms,
@@ -69,6 +70,18 @@ def test_pentagonal_terms_are_sorted_with_one_first(n, t):
     for k in range(1, 40):
         expect += [(t * g, (-1) ** k) for g in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2)]
     assert pentagonal_terms(n, t) == [(e, sign) for e, sign in expect if e <= n]
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 10, 500])
+def test_cube_terms_are_jacobis_cube(n):
+    # sum_k (-1)^k (2k+1) q^{k(k+1)/2} against (q;q)^3 cubed by convolution
+    terms = cube_terms(n)
+    assert terms[0] == (0, 1)
+    assert [e for e, _ in terms] == sorted({e for e, _ in terms})
+    cs = [0] * (n + 1)
+    for e, c in terms:
+        cs[e] = c
+    assert cs == euler_series(n).pow(3).coeffs
 
 
 def test_theta_rejects_degenerate_arguments():
