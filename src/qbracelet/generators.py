@@ -28,14 +28,15 @@ inflated by t (the terms of e_t == 1 are placed at full order):
     otherwise   Miller's recurrence over the pentagonal terms, its sums
                 split by sign so that no step multiplies by a +-1
 
-Every other factor with |e_t| == 1 is applied in place, multiplying by
-shift-and-add or dividing by the bottom-up recurrence
-f_i = c_i - sum_j s_j f_{i-j}, so when every |e_t| is 1 no power
-recurrence runs at all.  That is O(n sqrt n) small-by-bignum operations,
-where the convolutions and Newton inversion of the modular route would
-multiply bignums of hundreds of bits.  A non-lead factor with |e_t| > 1
-is raised by the same routes and multiplied in once, so no cost grows
-with |e_t|; only such a quotient makes a convolution here.
+Every other factor with |e_t| == 1 or 3 is applied in place by its
+pentagonal or its cube's terms, multiplying by shift-and-add (times the
+cube's weights) or dividing by the bottom-up recurrence
+f_i = c_i - sum_j s_j f_{i-j}, so when every |e_t| is 1 or 3 no power
+recurrence runs past the lead.  That is O(n sqrt n) small-by-bignum
+operations, where the convolutions and Newton inversion of the modular
+route would multiply bignums of hundreds of bits.  A non-lead factor with
+any other |e_t| is raised by the same routes and multiplied in once, so
+no cost grows with |e_t|; only such a quotient makes a convolution here.
 
 Over Z/2: one bitset, no convolution.  Mod 2, (q^t;q^t)^{2^k} ==
 (q^{t 2^k};q^{t 2^k}), which is 1 up to q^n once t 2^k > n.  So each
@@ -45,17 +46,35 @@ by the sparse (q^{t 2^i};q^{t 2^i}): one shift and XOR per pentagonal
 term, masked to n + 1 bits.  The classical case is
 1/(q;q) == prod_{i<k} (q^{2^i};q^{2^i}) (mod 2).
 
-Over any other Z/M: Frobenius, inflation and Newton.  The power
-recurrence divides by m, which is not invertible mod p, the bitset
-identity holds mod 2 only, and at the modular orders one Kronecker
-product beats O(n sqrt n) anyway.  Over an odd prime modulus p,
+Over any other Z/M: Frobenius, its lift mod p^2, inflation and Newton.
+The power recurrence divides by m, which is not invertible mod p, the
+bitset identity holds mod 2 only, and at the modular orders one
+Kronecker product beats O(n sqrt n) anyway.  Over an odd prime modulus p,
 (q^t;q^t)^p == (q^{tp};q^{tp}) (mod p), so each exponent is split into
 base-p digits, (q^t;q^t)^{d p^i} becoming (q^{t p^i};q^{t p^i})^d, before
 equal steps are merged again and zero exponents dropped.  This is where
 the paper's proofs start, and the cancellation it exposes is the saving:
-B_125 mod 5 is {2: 1, 250: -1}.  The congruence holds only mod p, so
-prime-power and composite rings keep their exponents as they are.  The
-live steps have a gcd g, so the quotient is a series in q^g: it is
+B_125 mod 5 is {2: 1, 250: -1}.
+
+The congruence holds only mod p; over Z/p^2 (p prime, 2 included) its
+first-order binomial lift takes its place.  With X = (q^t;q^t)^p and
+Y = (q^{tp};q^{tp}), X = Y (1 + p Z), so X^a == Y^a (1 + a (X/Y - 1))
+(mod p^2) for a of either sign, and for several such factors the cross
+terms vanish mod p^2: prod_t X_t^{a_t} == Q (1 + sum_t a_t (X_t/Y_t - 1)),
+Q the product of the Y_t^{a_t}.  So each factor with e_t = p a moves
+Y^a into the map at step tp, and the quotient is
+(1 - sum_t a_t) Q + sum_t a_t X_t Q_t, where Q is the moved map's
+quotient and Q_t the same with one Y_t less, both by the route below:
+B_11 mod 121 gives Q = {2: 1, 22: -1}, inverted at order n // 22, and
+Q_1 = {2: 1, 11: -1, 22: -1}, at n // 11, so no Newton step runs at full
+order.  X_t is one (q;q)^p at order n // t, begun from Jacobi's cube when
+that saves a multiplication, and inflated by t; a multiple of p as a
+drops it, since X^{pb} == Y^{pb} (mod p^2).  A factor with a == 1 stays
+as it is, since the lift would only divide X by Y and multiply Y back,
+and so do factors whose e_t p does not divide, higher prime powers and
+composite rings.
+
+The live steps have a gcd g, so the quotient is a series in q^g: it is
 built at order m = n // g over the steps t/g and inflated by g once at
 the end, which is exact because an inflated series is zero off the
 multiples of g.  The denominator, a series in q^h for h the gcd of its
@@ -80,7 +99,7 @@ then multiplied by the pentagonal terms of (q^25;q^25) in place.
 from __future__ import annotations
 
 from functools import reduce
-from math import gcd
+from math import gcd, isqrt
 from operator import add, mul, sub
 
 from .oracles import MR_EXACT_BELOW, is_prime
@@ -165,6 +184,43 @@ def _modular_quotient(
     return product.inflate(g).resized(n)
 
 
+def _live(exponents: dict[int, int], n: int) -> dict[int, int]:
+    """The factors of an eta map that are not 1 up to q^n."""
+    return {t: e for t, e in exponents.items() if e and t <= n}
+
+
+def _euler_power(m: int, p: int, ring: CoefficientRing) -> TruncatedSeries:
+    """(q;q)^p to order m: by pow(p), or Jacobi's cube, placed, times
+    (q;q)^{p-3} when p - 3 has fewer binary ones than p, which takes no
+    more squarings and at least one multiplication fewer (p = 3, 5, 7, 11)."""
+    if bin(p - 3).count("1") >= bin(p).count("1"):
+        return euler_series(m, 1, ring).pow(p)
+    cube = TruncatedSeries(ring, _eta_power(1, 3, m))
+    return cube if p == 3 else cube * euler_series(m, 1, ring).pow(p - 3)
+
+
+def _lifted_quotient(
+    live: dict[int, int], n: int, ring: CoefficientRing, p: int
+) -> TruncatedSeries:
+    """prod_t (q^t;q^t)^{e_t} over Z/p^2 to order n, p prime, for nonzero
+    e_t and 1 <= t <= n: each factor X_t^a, X_t = (q^t;q^t)^p and
+    a = e_t / p != 1, by the Frobenius lift (see the module docstring)."""
+    lifted = {t: e // p for t, e in live.items() if e % p == 0 and e != p}
+    eta = {t: e for t, e in live.items() if t not in lifted}
+    for t, a in lifted.items():
+        eta[t * p] = eta.get(t * p, 0) + a
+    moved = {t: a for t, a in lifted.items() if a % p}  # X^{pb} == Y^{pb}
+    result = _modular_quotient(_live(eta, n), n, ring)
+    if not moved:
+        return result
+    result = result.scale(1 - sum(moved.values()))
+    x = _euler_power(n // min(moved), p, ring)
+    for t, a in moved.items():
+        rest = _modular_quotient(_live({**eta, t * p: eta[t * p] - 1}, n), n, ring)
+        result += (x.resized(n // t).inflate(t).resized(n) * rest).scale(a)
+    return result
+
+
 def _power(terms: list[tuple[int, int]], alpha: int, n: int) -> list[int]:
     """(f / f_0)^alpha to order n, f the sum of the sorted terms
     (exponent, coefficient) with (0, f_0) first and every later coefficient
@@ -207,11 +263,15 @@ def _past_one(terms: list[tuple[int, int]]) -> list[tuple[int, int]]:
 
 
 def _multiply(cs: list[int], terms: list[tuple[int, int]]) -> None:
-    """cs *= 1 + sum_{j>=1} s_j q^j in place, s_j = +1 or -1: add or
-    subtract each shifted copy of the old cs, truncated at the order of cs."""
+    """cs *= 1 + sum_{j>=1} s_j q^j in place: add or subtract each shifted
+    copy of the old cs, truncated at the order of cs, when s_j is +1 or -1,
+    and add s_j times it otherwise (Jacobi's cube)."""
     old = cs[:]
-    for j, sign in _past_one(terms):
-        cs[j:] = map(add if sign > 0 else sub, cs[j:], old)
+    for j, s in _past_one(terms):
+        if s in (1, -1):
+            cs[j:] = map(add if s > 0 else sub, cs[j:], old)
+        else:
+            cs[j:] = map(add, cs[j:], [s * c for c in old[: len(cs) - j]])
 
 
 def _divide(cs: list[int], terms: list[tuple[int, int]]) -> None:
@@ -262,7 +322,8 @@ def _pentagonal_quotient(live: dict[int, int], n: int) -> TruncatedSeries:
     """prod_t (q^t;q^t)^{e_t} over Z to order n, for nonzero e_t and
     1 <= t <= n: the lead factor (largest |e_t|, then smallest t) by
     :func:`_eta_power`, whose route its exponent picks; every other factor
-    applied in place when |e_t| == 1, else raised by :func:`_eta_power` and
+    applied in place by its pentagonal terms when |e_t| == 1 and by its
+    cube's when |e_t| == 3, else raised by :func:`_eta_power` and
     multiplied in once, so the cost does not grow with |e_t|."""
     if not live:
         return TruncatedSeries.one(EXACT, n)
@@ -272,10 +333,14 @@ def _pentagonal_quotient(live: dict[int, int], n: int) -> TruncatedSeries:
     for t, e in sorted(live.items()):
         if t == lead:
             continue
-        if abs(e) > 1:
-            powers.append(TruncatedSeries(EXACT, _eta_power(t, e, n), normalize=False))
+        if abs(e) == 1:
+            terms = pentagonal_terms(n, t)
+        elif abs(e) == 3:
+            terms = [(t * j, c) for j, c in cube_terms(n // t)]
         else:
-            (_multiply if e > 0 else _divide)(cs, pentagonal_terms(n, t))
+            powers.append(TruncatedSeries(EXACT, _eta_power(t, e, n), normalize=False))
+            continue
+        (_multiply if e > 0 else _divide)(cs, terms)
     return reduce(mul, powers, TruncatedSeries(EXACT, cs, normalize=False))
 
 
@@ -316,11 +381,14 @@ def eta_quotient(
     # shortcut, and the Newton route below holds for any modulus
     if p is not None and 2 < p < MR_EXACT_BELOW and is_prime(p):
         exponents = _frobenius_split(exponents, p)
-    live = {t: e for t, e in exponents.items() if e and t <= n}
+    live = _live(exponents, n)
     if ring.is_exact:
         return _pentagonal_quotient(live, n)
     if p == 2:
         return _gf2_quotient(live, n)
+    r = isqrt(p)
+    if r * r == p and r < MR_EXACT_BELOW and is_prime(r):
+        return _lifted_quotient(live, n, ring, r)
     return _modular_quotient(live, n, ring)
 
 

@@ -397,18 +397,34 @@ def test_lead_exponent_picks_its_route(monkeypatch, key, exponents, power_calls,
 
 
 # eta maps whose lead (and, last, non-lead) factors take each exact route,
-# at steps 1 and above, against the definitional binomial chains
+# at steps 1 and above, against the definitional binomial chains; every
+# non-lead factor has |e_t| 1 or 3, so each is applied in place
 EXACT_ROUTE_MAPS = [
     {1: -1}, {1: -3}, {1: 1}, {1: 3}, {2: -1, 5: 1}, {2: -3, 3: 1}, {3: 3, 1: -1},
-    {1: -5, 2: -3, 3: 3},
+    {1: -5, 2: -3, 3: 3}, {1: -5, 2: -3}, {2: -5, 4: 3, 6: -3}, {3: -4, 1: 3, 2: -1},
 ]
 
 
 @pytest.mark.parametrize("exponents", EXACT_ROUTE_MAPS, ids=str)
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 400])
-def test_exact_routes_match_the_definition(exponents, n):
+def test_exact_routes_match_the_definition(kernel_calls, exponents, n):
+    conv_exact_calls = kernel_calls("conv_exact")
+    got = eta_quotient(exponents, n)
+    assert conv_exact_calls == []
     spec = ProductSpec.of(*((-1, t, t, e) for t, e in exponents.items()))
-    assert eta_quotient(exponents, n) == product_series(spec, n, EXACT)
+    assert got == product_series(spec, n, EXACT)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 400])
+def test_multiply_weights_the_cube_terms(n):
+    # Jacobi's cube has coefficients 3, 5, ...: each must scale its shifted
+    # copy, not only lend it a sign
+    one = [1] + [0] * n
+    generators._multiply(one, cube_terms(n))
+    assert one == product_series(ProductSpec.of((-1, 1, 1, 3)), n, EXACT).coeffs
+    partitions = partition_numbers(n)
+    generators._multiply(partitions, cube_terms(n))
+    assert partitions == product_series(ProductSpec.of((-1, 1, 1, 2)), n, EXACT).coeffs
 
 
 @pytest.mark.parametrize("e", [-3, -1, 1, 3])
@@ -459,6 +475,89 @@ def test_eta_quotient_mod_m_is_exact_reduced(case):
     assert exact == product_series(spec, n, EXACT)
     if modulus is not None:
         assert eta_quotient(exponents, n, Mod(modulus)) == exact.reduce_mod(modulus)
+
+
+# prime-square rings of the lift, each with its prime
+PRIME_SQUARES = {4: 2, 9: 3, 25: 5, 49: 7, 121: 11}
+
+
+@st.composite
+def prime_square_cases(draw):
+    """Eta maps at steps 1..30 over Z/p^2 with one or two exponents forced
+    to multiples of p (of p^2 too), of both signs."""
+    modulus = draw(st.sampled_from(list(PRIME_SQUARES)))
+    p = PRIME_SQUARES[modulus]
+    steps = st.integers(1, 30)
+    exponents = draw(st.dictionaries(steps, st.integers(-12, 12), max_size=3))
+    multiple = st.sampled_from([-3, -2, -1, 0, 1, 2, 3, -p, p]).map(lambda a: a * p)
+    for t, e in draw(st.lists(st.tuples(steps, multiple), min_size=1, max_size=2)):
+        exponents[t] = e
+    return exponents, draw(st.integers(0, 600)), modulus
+
+
+@settings(max_examples=150, deadline=None)
+@given(prime_square_cases())
+def test_prime_square_lift_is_exact_reduced(case):
+    exponents, n, modulus = case
+    exact = eta_quotient(exponents, n, EXACT).reduce_mod(modulus)
+    assert eta_quotient(exponents, n, Mod(modulus)) == exact
+
+
+# (eta map, order, modulus) at the edges of the lift
+LIFT_EDGES = [
+    ({50: -11, 3: 2}, 300, 121),  # t p > n: Y is 1 up to q^n
+    ({1: -22}, 10, 121),
+    ({1: -10, 3: 4, 6: -2}, 400, 4),  # every exponent a multiple of p
+    ({1: -10, 2: 5, 5: 25}, 400, 25),
+    ({1: 25, 3: -50}, 400, 25),  # a multiple of p^2: X^a == Y^a
+    ({1: -2, 2: 1, 4: -1}, 400, 4),  # B_2's map: Y cancels step p
+    ({1: -3, 2: 1, 3: 1, 6: -1}, 400, 9),
+    ({1: -5, 2: 1, 5: 1, 10: -1}, 1007, 25),
+    ({1: -7, 2: 1, 7: 1, 14: -1}, 600, 49),
+    ({1: -11, 2: 1, 11: 1, 22: -1}, 600, 121),
+    ({1: -12, 2: 1, 12: 1, 24: -1}, 401, 4),  # bracelet:12 mod 4
+    ({1: 11, 11: -1}, 400, 121),  # e_t == p stays as it is
+    ({2: 22, 1: -11, 7: 33}, 400, 121),  # several lifted factors
+]
+
+
+@pytest.mark.parametrize("exponents, n, modulus", LIFT_EDGES, ids=str)
+def test_prime_square_lift_edges(exponents, n, modulus):
+    exact = eta_quotient(exponents, n, EXACT).reduce_mod(modulus)
+    assert eta_quotient(exponents, n, Mod(modulus)) == exact
+
+
+def test_prime_square_lift_inverts_at_the_reduced_order_only(monkeypatch):
+    # B_11 mod 121: (q;q)^-11 is lifted, so no Newton step runs at full
+    # order; the two quotients invert at orders 2221 // 22 and 2221 // 11
+    orders = []
+    real = TruncatedSeries.invert
+
+    def recording(self):
+        orders.append(self.order)
+        return real(self)
+
+    monkeypatch.setattr(TruncatedSeries, "invert", recording)
+    expand_source(bracelet_source(11), Mod(121), 2221)
+    assert sorted(orders) == [2221 // 22, 2221 // 11]
+
+
+def test_prime_square_without_multiples_of_p_keeps_the_modular_route(monkeypatch):
+    # bracelet:12 mod 25: 5 divides no exponent, so the map goes to the
+    # Frobenius/Newton route whole
+    calls = _record(monkeypatch, "_modular_quotient")
+    n = 600
+    source = bracelet_source(12)
+    got = expand_source(source, Mod(25), n)
+    assert [live for live, _, _ in calls] == [{1: -12, 2: 1, 12: 1, 24: -1}]
+    assert got == expand_source(source, EXACT, n).reduce_mod(25)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 17])
+def test_euler_power_is_the_pth_power(p):
+    ring = Mod(p * p)
+    for m in (0, 1, 2, 300):
+        assert generators._euler_power(m, p, ring) == euler_series(m, 1, ring).pow(p)
 
 
 # The catalog builds that take the strided product, at their verify --all
