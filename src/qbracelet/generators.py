@@ -14,29 +14,26 @@ eta-quotient prod_t (q^t;q^t)^{e_t} with exponent map
 any other factors to the binomial chains of :func:`product_series`.
 :func:`eta_quotient` has three routes, chosen by the ring.
 
-Over Z: pentagonal recurrences.  Each (q^t;q^t) has about
-2 sqrt(2n/3t) nonzero terms up to q^n, all +1 or -1, and Jacobi's cube
-(q;q)^3 = sum_k (-1)^k (2k+1) q^{k(k+1)/2} about sqrt(2n).  The factor
-with the largest |e_t| (then the smallest t) is the lead.  It is raised
-to its power by a route chosen by its exponent, at order n // t and
-inflated by t (the terms of e_t == 1 are placed at full order):
+Over Z: pentagonal recurrences, in two steps.  Each (q^t;q^t) has
+about 2 sqrt(2n/3t) nonzero terms up to q^n, all +1 or -1, and Jacobi's
+cube (q;q)^3 = sum_k (-1)^k (2k+1) q^{k(k+1)/2} about sqrt(2n).
 
-    e_t == 1    the pentagonal terms, placed
-    e_t == 3    the cube's terms, placed
-    e_t == -1   1 divided bottom-up by the pentagonal terms: additions only
-    e_t == -3   1 divided bottom-up by the cube's terms: small multipliers
-    otherwise   Miller's recurrence over the pentagonal terms, its sums
-                split by sign so that no step multiplies by a +-1
+  1. Each factor with |e_t| >= 4 is raised by Miller's recurrence over
+     the pentagonal terms, its sums split by sign so that no step
+     multiplies by a +-1, at order n // t and inflated by t.  The largest
+     |e_t| (then the smallest t) starts the product, and any other such
+     factor is multiplied in once, so no cost grows with |e_t|.
+  2. Then, by increasing t, each factor with |e_t| <= 3 is applied in
+     place: by the cube's terms once when |e_t| == 3, by the pentagonal
+     terms |e_t| times otherwise.  A multiplication is the sparse product
+     of the strided route below, sum_j s_j q^j times the product so far,
+     with no division, and on the starting 1 it just places the terms; a
+     division is the bottom-up recurrence f_i = c_i - sum_j s_j f_{i-j}.
 
-Every other factor with |e_t| == 1 or 3 is applied in place by its
-pentagonal or its cube's terms, multiplying by shift-and-add (times the
-cube's weights) or dividing by the bottom-up recurrence
-f_i = c_i - sum_j s_j f_{i-j}, so when every |e_t| is 1 or 3 no power
-recurrence runs past the lead.  That is O(n sqrt n) small-by-bignum
-operations, where the convolutions and Newton inversion of the modular
-route would multiply bignums of hundreds of bits.  A non-lead factor with
-any other |e_t| is raised by the same routes and multiplied in once, so
-no cost grows with |e_t|; only such a quotient makes a convolution here.
+When every |e_t| is at most 3 no power recurrence runs at all.  That is
+O(n sqrt n) small-by-bignum operations, where the convolutions and Newton
+inversion of the modular route would multiply bignums of hundreds of
+bits; only a quotient with two factors of |e_t| >= 4 makes a convolution.
 
 Over Z/2: one bitset, no convolution.  Mod 2, (q^t;q^t)^{2^k} ==
 (q^{t 2^k};q^{t 2^k}), which is 1 up to q^n once t 2^k > n.  So each
@@ -81,11 +78,15 @@ multiples of g.  The denominator, a series in q^h for h the gcd of its
 reduced steps, is built at order m // h and inverted there by Newton.
 With no numerator that inverse is inflated by h g.  A sparse numerator,
 with nonzero terms N_j (the pentagonal terms when it is one factor to the
-first power), is multiplied in by strided slices, R[j::h] += N_j Dinv,
+first power), is multiplied in by the sparse product
+R = sum_j N_j q^j Dinv(q^h), one slice add R[j::h] += N_j Dinv per term,
 and R is reduced mod M once: B_125 mod 5 is 183 slices of 101
 coefficients at m = 12,526 instead of a convolution of that order.  A
 numerator with more terms than STRIDED_PRODUCT_RATIO allows is multiplied
-by one convolution with the inverse inflated by h.
+by one convolution with the inverse inflated by h.  Every
+(q^t;q^t)^e these routes build, numerator, denominator or lifted X, has one
+builder: pow(e), or Jacobi's cube, placed, times (q;q)^{e-3} when e - 3 has
+fewer binary ones than e, at order n // t and inflated by t.
 
 Ramanujan's a(q) and b(q) are general products, expanded by
 :func:`product_series` (:func:`ramanujan_a`, :func:`ramanujan_b`), the
@@ -99,6 +100,7 @@ then multiplied by the pentagonal terms of (q^25;q^25) in place.
 from __future__ import annotations
 
 from functools import reduce
+from itertools import repeat
 from math import gcd, isqrt
 from operator import add, mul, sub
 
@@ -132,6 +134,22 @@ def _frobenius_split(exponents: dict[int, int], p: int) -> dict[int, int]:
     return split
 
 
+def _euler_power(m: int, t: int, e: int, ring: CoefficientRing) -> TruncatedSeries:
+    """(q^t;q^t)^e over Z/M to order m, for e >= 1, built at order m // t
+    and inflated by t: by pow(e), or Jacobi's cube, placed, times
+    (q;q)^{e-3} when e - 3 has fewer binary ones than e, which takes no
+    more squarings and at least one multiplication fewer (e = 3, 5, 7, 11,
+    13, 15, ...)."""
+    k = m // t
+    if e < 3 or bin(e - 3).count("1") >= bin(e).count("1"):
+        x = euler_series(k, 1, ring).pow(e)
+    else:
+        x = TruncatedSeries(ring, _sparse_product(cube_terms(k), [1], 1, k))
+        if e > 3:
+            x = x * euler_series(k, 1, ring).pow(e - 3)
+    return x.inflate(t).resized(m)
+
+
 def _euler_product(
     side: dict[int, int], n: int, ring: CoefficientRing
 ) -> TruncatedSeries:
@@ -139,9 +157,7 @@ def _euler_product(
     e_t, built at order n // k over the steps t/k and inflated by k, the
     gcd of the steps."""
     k = reduce(gcd, side)
-    powers = (
-        euler_series(n // k, t // k, ring).pow(e) for t, e in sorted(side.items())
-    )
+    powers = (_euler_power(n // k, t // k, e, ring) for t, e in sorted(side.items()))
     return reduce(mul, powers).inflate(k).resized(n)
 
 
@@ -163,40 +179,23 @@ def _modular_quotient(
     inverse = _euler_product({t // h: e for t, e in den.items()}, m // h, ring).invert()
     if not num:
         return inverse.inflate(h * g).resized(n)
-    if list(num.values()) == [1]:
+    numerator = None
+    if list(num.values()) == [1]:  # terms of +-1, which make no multiply
         terms = pentagonal_terms(m, *num)
     else:
-        numerator = _euler_product(num, m, ring).coeffs
-        terms = [(j, c) for j, c in enumerate(numerator) if c]
-    cs = [0] * (m + 1)
+        numerator = _euler_product(num, m, ring)
+        terms = [(j, c) for j, c in enumerate(numerator.coeffs) if c]
     if len(terms) * (m // h + 1) <= STRIDED_PRODUCT_RATIO * (m + 1):
-        d = inverse.coeffs
-        for j, c in terms:
-            if c == -1:
-                cs[j::h] = map(sub, cs[j::h], d)
-            else:
-                cs[j::h] = map(add, cs[j::h], d if c == 1 else [c * b for b in d])
-        product = TruncatedSeries(ring, cs)
+        product = TruncatedSeries(ring, _sparse_product(terms, inverse.coeffs, h, m))
     else:
-        for j, c in terms:
-            cs[j] = c
-        product = TruncatedSeries(ring, cs) * inverse.inflate(h).resized(m)
+        numerator = numerator or _euler_product(num, m, ring)
+        product = numerator * inverse.inflate(h).resized(m)
     return product.inflate(g).resized(n)
 
 
 def _live(exponents: dict[int, int], n: int) -> dict[int, int]:
     """The factors of an eta map that are not 1 up to q^n."""
     return {t: e for t, e in exponents.items() if e and t <= n}
-
-
-def _euler_power(m: int, p: int, ring: CoefficientRing) -> TruncatedSeries:
-    """(q;q)^p to order m: by pow(p), or Jacobi's cube, placed, times
-    (q;q)^{p-3} when p - 3 has fewer binary ones than p, which takes no
-    more squarings and at least one multiplication fewer (p = 3, 5, 7, 11)."""
-    if bin(p - 3).count("1") >= bin(p).count("1"):
-        return euler_series(m, 1, ring).pow(p)
-    cube = TruncatedSeries(ring, _eta_power(1, 3, m))
-    return cube if p == 3 else cube * euler_series(m, 1, ring).pow(p - 3)
 
 
 def _lifted_quotient(
@@ -214,7 +213,7 @@ def _lifted_quotient(
     if not moved:
         return result
     result = result.scale(1 - sum(moved.values()))
-    x = _euler_power(n // min(moved), p, ring)
+    x = _euler_power(n // min(moved), 1, p, ring)
     for t, a in moved.items():
         rest = _modular_quotient(_live({**eta, t * p: eta[t * p] - 1}, n), n, ring)
         result += (x.resized(n // t).inflate(t).resized(n) * rest).scale(a)
@@ -262,16 +261,23 @@ def _past_one(terms: list[tuple[int, int]]) -> list[tuple[int, int]]:
     return terms[1:]
 
 
-def _multiply(cs: list[int], terms: list[tuple[int, int]]) -> None:
-    """cs *= 1 + sum_{j>=1} s_j q^j in place: add or subtract each shifted
-    copy of the old cs, truncated at the order of cs, when s_j is +1 or -1,
-    and add s_j times it otherwise (Jacobi's cube)."""
-    old = cs[:]
-    for j, s in _past_one(terms):
-        if s in (1, -1):
-            cs[j:] = map(add if s > 0 else sub, cs[j:], old)
+def _sparse_product(
+    terms: list[tuple[int, int]], d: list[int], h: int, m: int
+) -> list[int]:
+    """sum_j c_j q^j D(q^h) to order m, for the sorted terms (j, c_j) of a
+    series that starts with (0, 1) and the coefficients d of D: one slice
+    add per term, over slice(j, j + h len(d), h), adding or subtracting d
+    when c_j is +1 or -1 and adding c_j times it otherwise (Jacobi's cube,
+    a dense numerator).  With d == [1] it places the terms."""
+    cs, span = [0] * (m + 1), h * len(d)
+    cs[:span:h] = d[: m // h + 1]  # the constant term 1
+    for j, c in _past_one(terms):
+        s = slice(j, j + span, h)
+        if c == -1:
+            cs[s] = map(sub, cs[s], d)
         else:
-            cs[j:] = map(add, cs[j:], [s * c for c in old[: len(cs) - j]])
+            cs[s] = map(add, cs[s], d if c == 1 else map(mul, repeat(c), d))
+    return cs
 
 
 def _divide(cs: list[int], terms: list[tuple[int, int]]) -> None:
@@ -295,53 +301,38 @@ def _divide(cs: list[int], terms: list[tuple[int, int]]) -> None:
             )
 
 
-def _eta_power(t: int, e: int, n: int) -> list[int]:
-    """(q^t;q^t)^e over Z to order n.  When e == 1 the pentagonal terms
-    are placed at full order; every other e is built at order m = n // t
-    and inflated by t: e == 3 places the terms of Jacobi's cube, e == -1
-    and e == -3 divide 1 bottom-up by the pentagonal terms or the cube's,
-    and any other e takes the power recurrence."""
-    if e == 1:
-        return euler_series(n, t).coeffs
-    m = n // t
-    if e == 3:
-        g = [0] * (m + 1)
-        for j, c in cube_terms(m):
-            g[j] = c
-    elif e in (-1, -3):
-        g = [1] + [0] * m
-        _divide(g, pentagonal_terms(m) if e == -1 else cube_terms(m))
-    else:
-        g = _power(pentagonal_terms(m), e, m)
-    cs = [0] * (n + 1)
-    cs[::t] = g
-    return cs
-
-
 def _pentagonal_quotient(live: dict[int, int], n: int) -> TruncatedSeries:
     """prod_t (q^t;q^t)^{e_t} over Z to order n, for nonzero e_t and
-    1 <= t <= n: the lead factor (largest |e_t|, then smallest t) by
-    :func:`_eta_power`, whose route its exponent picks; every other factor
-    applied in place by its pentagonal terms when |e_t| == 1 and by its
-    cube's when |e_t| == 3, else raised by :func:`_eta_power` and
-    multiplied in once, so the cost does not grow with |e_t|."""
+    1 <= t <= n, in two steps: each factor with |e_t| >= 4 by
+    :func:`_power` at order n // t, inflated by t, the largest |e_t| (then
+    the smallest t) first and any other multiplied in once; then, by
+    increasing t, each factor with |e_t| <= 3 in place, by the cube's terms
+    once when |e_t| == 3 and by the pentagonal terms |e_t| times otherwise,
+    multiplying by :func:`_sparse_product` or dividing by :func:`_divide`."""
     if not live:
         return TruncatedSeries.one(EXACT, n)
-    lead = min(live, key=lambda t: (-abs(live[t]), t))
-    cs = _eta_power(lead, live[lead], n)
-    powers = []
+    powers = [
+        TruncatedSeries(EXACT, _power(pentagonal_terms(n // t), live[t], n // t))
+        .inflate(t)
+        .resized(n)
+        for t in sorted(live, key=lambda t: (-abs(live[t]), t))
+        if abs(live[t]) >= 4
+    ]
+    cs = reduce(mul, powers).coeffs if powers else [1]
     for t, e in sorted(live.items()):
-        if t == lead:
-            continue
-        if abs(e) == 1:
-            terms = pentagonal_terms(n, t)
-        elif abs(e) == 3:
-            terms = [(t * j, c) for j, c in cube_terms(n // t)]
+        if abs(e) == 3:
+            steps = [[(t * j, c) for j, c in cube_terms(n // t)]]
+        elif abs(e) < 3:
+            steps = [pentagonal_terms(n, t)] * abs(e)
         else:
-            powers.append(TruncatedSeries(EXACT, _eta_power(t, e, n), normalize=False))
             continue
-        (_multiply if e > 0 else _divide)(cs, terms)
-    return reduce(mul, powers, TruncatedSeries(EXACT, cs, normalize=False))
+        for terms in steps:
+            if e > 0:
+                cs = _sparse_product(terms, cs, 1, n)
+            else:
+                cs += [0] * (n + 1 - len(cs))  # the starting 1, at full order
+                _divide(cs, terms)
+    return TruncatedSeries(EXACT, cs, normalize=False)
 
 
 _BITS = bytes.maketrans(b"01", b"\x00\x01")
@@ -470,5 +461,5 @@ def euler_quintic_rhs(n: int, ring: CoefficientRing = EXACT) -> TruncatedSeries:
     if n >= 1:
         cs[1] -= 1
     cs[2:] = map(sub, cs[2:], b)
-    _multiply(cs, pentagonal_terms(n, 25))
+    cs = _sparse_product(pentagonal_terms(n, 25), cs, 1, n)
     return TruncatedSeries(ring, cs)

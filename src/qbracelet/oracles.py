@@ -43,27 +43,13 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@lru_cache(maxsize=None)
-def _count_with_max_part(n: int, largest: int) -> int:
-    if n == 0:
-        return 1
-    if largest == 0:
-        return 0
-    total = 0
-    part = min(largest, n)
-    while part >= 1:
-        total += _count_with_max_part(n - part, part)
-        part -= 1
-    return total
-
-
 def count_partitions(n: int) -> int:
     """Number of partitions of n, by direct enumeration of the search tree."""
     if n < 0:
         raise ValueError("n must be >= 0")
     if n > ENUMERATION_LIMIT:
         raise ValueError(f"enumeration budget is n <= {ENUMERATION_LIMIT}")
-    return _count_with_max_part(n, n)
+    return _count_regular(n, n, n + 1)  # no part <= n is divisible by n + 1
 
 
 @lru_cache(maxsize=None)

@@ -85,8 +85,9 @@ def run_subprocess(cwd, *args):
 
 
 def test_coeffs_huge_non_lead_exponent_returns(tmp_path):
-    # (-q;q)^e is the eta-quotient {1: -e, 2: e}; the factor at t = 2 is not
-    # the lead, and applying it e times in place would never end
+    # (-q;q)^e is the eta-quotient {1: -e, 2: e}; both factors take the
+    # power recurrence once, and applying either e times in place would
+    # never end
     key = "1,1,1,99999999999999"
     result = run_subprocess(tmp_path, "coeffs", f"product:{key}", "5")
     assert result.returncode == 0, result.stderr

@@ -312,8 +312,8 @@ def test_exact_eta_quotient_of_one_factor_is_pentagonal():
 
 
 def test_corrupted_pentagonal_terms_raise(monkeypatch):
-    # a constant term of 2 makes the lead power (f/2)^-5, which is not
-    # integral: the checked division must refuse it, never truncate
+    # a constant term of 2 makes the power (f/2)^-5 of step 1, which is
+    # not integral: the checked division must refuse it, never truncate
     real = generators.pentagonal_terms
 
     def corrupted(n, scale=1):
@@ -322,14 +322,21 @@ def test_corrupted_pentagonal_terms_raise(monkeypatch):
     monkeypatch.setattr(generators, "pentagonal_terms", corrupted)
     with pytest.raises(ArithmeticError):
         expand_source(bracelet_source(5), EXACT, 100)
-    # the division and in-place routes (leads -1 and -3, the factors with
-    # |e_t| == 1) refuse any constant term but 1
+    # the in-place steps (every |e_t| of these maps is 1 or 3, so each
+    # factor is multiplied or divided in) refuse any constant term but 1
     for key in ("partition", "lregular:9", "brokendiamond:6", "bracelet:3"):
         with pytest.raises(ArithmeticError):
             expand_source(parse_source(key), EXACT, 100)
 
 
-@pytest.mark.parametrize("apply", [generators._multiply, generators._divide])
+# the sparse product (on a series in q^2) and the division, by name
+IN_PLACE = {
+    "_sparse_product": lambda terms: generators._sparse_product(terms, [1] * 6, 2, 10),
+    "_divide": lambda terms: generators._divide([1] + [0] * 10, terms),
+}
+
+
+@pytest.mark.parametrize("apply", list(IN_PLACE))
 @pytest.mark.parametrize("terms", [
     [(0, 2), (1, -1), (2, -1)],  # unit terms
     [(0, 2), (1, -3), (3, 5)],  # weighted terms: the cube's divide
@@ -337,7 +344,7 @@ def test_corrupted_pentagonal_terms_raise(monkeypatch):
 ], ids=["unit", "weighted", "missing"])
 def test_in_place_routes_refuse_a_constant_term_but_one(apply, terms):
     with pytest.raises(ArithmeticError, match="constant term"):
-        apply([1] + [0] * 10, terms)
+        IN_PLACE[apply](terms)
 
 
 def test_power_refuses_terms_other_than_unit():
@@ -364,7 +371,9 @@ def _record(monkeypatch, name):
 
 
 # (family source or None, exponent map, _power calls, the divisors that
-# _divide gets, in call order)
+# _divide gets, in call order): |e_t| >= 4 takes the power recurrence,
+# |e_t| == 3 the cube's terms once, |e_t| <= 2 the pentagonal terms |e_t|
+# times, by increasing t
 LEAD_ROUTES = [
     ("partition", {1: -1}, 0, ["pentagonal"]),
     (None, {1: -3}, 0, ["cube"]),
@@ -373,7 +382,11 @@ LEAD_ROUTES = [
     ("lregular:9", {1: -1, 9: 1}, 0, ["pentagonal"]),
     ("brokendiamond:6", {1: -3, 2: 1, 13: 1, 26: -1}, 0, ["cube", "pentagonal"]),
     ("bracelet:5", {1: -5, 2: 1, 5: 1, 10: -1}, 1, ["pentagonal"]),
-    (None, {1: 2, 3: -1}, 1, ["pentagonal"]),
+    (None, {1: 2, 3: -1}, 0, ["pentagonal"]),
+    (None, {1: -2}, 0, ["pentagonal", "pentagonal"]),
+    (None, {1: -5, 2: -2}, 1, ["pentagonal", "pentagonal"]),
+    (None, {2: -3, 1: 1}, 0, ["cube"]),
+    (None, {3: 2, 1: -7, 2: 9}, 2, []),
 ]
 
 
@@ -382,8 +395,8 @@ LEAD_ROUTES = [
     ids=[key or str(exponents) for key, exponents, _, _ in LEAD_ROUTES],
 )
 def test_lead_exponent_picks_its_route(monkeypatch, key, exponents, power_calls, divisors):
-    # leads -1 and -3 divide, 1 and 3 place their terms, and only other
-    # exponents run the power recurrence, once
+    # each factor's exponent picks its step: only |e_t| >= 4 runs the power
+    # recurrence, once per such factor, and only negative e_t divide
     powers = _record(monkeypatch, "_power")
     divides = _record(monkeypatch, "_divide")
     n = 400
@@ -396,12 +409,13 @@ def test_lead_exponent_picks_its_route(monkeypatch, key, exponents, power_calls,
         assert expand_source(parse_source(key), EXACT, n) == got
 
 
-# eta maps whose lead (and, last, non-lead) factors take each exact route,
-# at steps 1 and above, against the definitional binomial chains; every
-# non-lead factor has |e_t| 1 or 3, so each is applied in place
+# eta maps whose factors take each exact step, at steps 1 and above, against
+# the definitional binomial chains; no map has two factors with |e_t| >= 4,
+# so none makes a convolution
 EXACT_ROUTE_MAPS = [
     {1: -1}, {1: -3}, {1: 1}, {1: 3}, {2: -1, 5: 1}, {2: -3, 3: 1}, {3: 3, 1: -1},
     {1: -5, 2: -3, 3: 3}, {1: -5, 2: -3}, {2: -5, 4: 3, 6: -3}, {3: -4, 1: 3, 2: -1},
+    {1: -5, 2: -2}, {1: -5, 2: 2}, {1: -2}, {1: 2, 3: -1}, {2: 2, 3: -3},
 ]
 
 
@@ -418,20 +432,26 @@ def test_exact_routes_match_the_definition(kernel_calls, exponents, n):
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 400])
 def test_multiply_weights_the_cube_terms(n):
     # Jacobi's cube has coefficients 3, 5, ...: each must scale its shifted
-    # copy, not only lend it a sign
-    one = [1] + [0] * n
-    generators._multiply(one, cube_terms(n))
-    assert one == product_series(ProductSpec.of((-1, 1, 1, 3)), n, EXACT).coeffs
-    partitions = partition_numbers(n)
-    generators._multiply(partitions, cube_terms(n))
-    assert partitions == product_series(ProductSpec.of((-1, 1, 1, 2)), n, EXACT).coeffs
+    # copy, not only lend it a sign, whether the copy is dense (h == 1) or
+    # strided (h > 1); on [1] the product places the terms
+    def definition(*factors):
+        return product_series(ProductSpec.of(*((-1, t, t, e) for t, e in factors)), n, EXACT)
+
+    cube = cube_terms(n)
+    assert generators._sparse_product(cube, [1], 1, n) == definition((1, 3)).coeffs
+    product = generators._sparse_product(cube, partition_numbers(n), 1, n)
+    assert product == definition((1, 2)).coeffs
+    for h in (2, 3):
+        product = generators._sparse_product(cube, partition_numbers(n // h), h, n)
+        assert product == definition((1, 3), (h, -1)).coeffs
 
 
-@pytest.mark.parametrize("e", [-3, -1, 1, 3])
+@pytest.mark.parametrize("e", range(-3, 4))
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 400, 2000])
 def test_placed_and_divided_powers_match_the_recurrence(e, n):
-    # each route the power recurrence no longer takes, against it
-    assert generators._eta_power(1, e, n) == generators._power(pentagonal_terms(n), e, n)
+    # each exponent the in-place steps take, against the power recurrence
+    got = eta_quotient({1: e}, n).coeffs
+    assert got == generators._power(pentagonal_terms(n), e, n)
 
 
 def test_expand_product_multiplies_its_parts_once(kernel_calls):
@@ -553,11 +573,17 @@ def test_prime_square_without_multiples_of_p_keeps_the_modular_route(monkeypatch
     assert got == expand_source(source, EXACT, n).reduce_mod(25)
 
 
-@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 17])
-def test_euler_power_is_the_pth_power(p):
-    ring = Mod(p * p)
-    for m in (0, 1, 2, 300):
-        assert generators._euler_power(m, p, ring) == euler_series(m, 1, ring).pow(p)
+@pytest.mark.parametrize("e", range(1, 18))
+def test_euler_power_is_the_pth_power(e):
+    # the one modular builder of (q^t;q^t)^e, from Jacobi's cube or not,
+    # against pow(e): e = p is the lift's X, other e the numerators and
+    # denominators of the Frobenius/Newton route
+    for m in (4, 9, 12, 25, 121, 1_000_003):
+        ring = Mod(m)
+        for t in (1, 2, 5):
+            for n in (0, 1, 2, 7, 300):
+                got = generators._euler_power(n, t, e, ring)
+                assert got == euler_series(n, t, ring).pow(e), (m, t, n)
 
 
 # The catalog builds that take the strided product, at their verify --all
