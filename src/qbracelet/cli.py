@@ -1,5 +1,6 @@
 """Command-line front end: coefficient dumps, dissections, claim
-verification, and bounded congruence search."""
+verification, and bounded congruence search.  Every result is printed by
+:func:`_emit`, the one writer of text, JSON and CSV."""
 
 from __future__ import annotations
 
@@ -8,6 +9,8 @@ import io
 import json
 import re
 import sys
+from collections import Counter
+from itertools import chain
 
 import click
 
@@ -37,32 +40,48 @@ def _check_cap(order: int, ring: CoefficientRing) -> None:
         )
 
 
-def _expand(source: str, mod: int | None, order: int):
-    """Parse SOURCE and expand it to ORDER; bad input is a one-line error."""
+def _emit(fmt: str, text_lines, json_text, header: list[str], rows) -> None:
+    """Print one result as FMT: the TEXT_LINES, the string JSON_TEXT()
+    returns, or a CSV table of HEADER and ROWS.  Only the chosen one is
+    built, and nothing else writes to stdout."""
+    if fmt == "json":
+        click.echo(json_text())
+    elif fmt == "csv":
+        out = io.StringIO()
+        csv.writer(out).writerows([header, *rows])
+        click.echo(out.getvalue(), nl=False)
+    else:
+        click.echo("\n".join(text_lines))
+
+
+def _print_progression(source: str, mod: int | None, fmt: str, order: int,
+                       step: int, residue: int, meta: dict) -> None:
+    """Print coefficients 0..ORDER of the progression STEP*n + RESIDUE of
+    SOURCE, with META added to the JSON object.  Bad input, or a
+    coefficient too long to print, is a one-line error."""
+    last = step * order + residue
     try:
         ring = CoefficientRing(mod)
-        _check_cap(order, ring)
+        _check_cap(last, ring)
         src = parse_source(source)
-        return src, expand_source(src, ring, order)
+        series = expand_source(src, ring, last)
     except ValueError as exc:
         raise click.ClickException(str(exc)) from None
-
-
-def _echo_csv(header: list[str], rows) -> None:
-    out = io.StringIO()
-    writer = csv.writer(out)
-    writer.writerow(header)
-    writer.writerows(rows)
-    click.echo(out.getvalue(), nl=False)
-
-
-def _dump_coefficients(coeffs: list[int], fmt: str, meta: dict) -> None:
-    if fmt == "text":
-        click.echo(" ".join(str(c) for c in coeffs))
-    elif fmt == "json":
-        click.echo(json.dumps({**meta, "coefficients": coeffs}, sort_keys=True))
-    else:
-        _echo_csv(["n", "coefficient"], enumerate(coeffs))
+    coeffs = progression(series, step, residue, order)
+    if not printable(max(map(abs, coeffs))):
+        n = next(n for n, c in enumerate(coeffs) if not printable(c))
+        raise click.ClickException(
+            f"the coefficient of q^{step * n + residue} has more than "
+            f"{int_str_limit()} digits"
+        )
+    _emit(
+        fmt,
+        (" ".join(map(str, cs)) for cs in [coeffs]),  # joined only for text
+        lambda: json.dumps({"source": src.key(), "modulus": mod, "order": order,
+                            **meta, "coefficients": coeffs}, sort_keys=True),
+        ["n", "coefficient"],
+        enumerate(coeffs),
+    )
 
 
 _format_option = click.option(
@@ -74,8 +93,8 @@ _format_option = click.option(
 def main() -> None:
     """q-series expansion and congruence verification for partition families.
 
-    Sources are named like: partition, euler[:t], lregular:L, bracelet:K,
-    brokendiamond:K, product:SIGN,OFFSET,STEP,EXP[;...].
+    Sources are named like: partition, euler[:t], quintic_euler, lregular:L,
+    bracelet:K, brokendiamond:K, product:SIGN,OFFSET,STEP,EXP[;...].
     """
 
 
@@ -88,10 +107,7 @@ def coeffs(source: str, n: int, mod: int | None, fmt: str) -> None:
     """Print coefficients 0..N of SOURCE."""
     if n < 0:
         raise click.ClickException("N must be >= 0")
-    src, series = _expand(source, mod, n)
-    _dump_coefficients(
-        series.coeffs, fmt, {"source": src.key(), "modulus": mod, "order": n}
-    )
+    _print_progression(source, mod, fmt, n, 1, 0, {})
 
 
 @main.command()
@@ -112,64 +128,37 @@ def dissect(
         raise click.ClickException("STEP must be >= 1")
     if not 0 <= residue < step:
         raise click.ClickException("RESIDUE must satisfy 0 <= RESIDUE < STEP")
-    src, series = _expand(source, mod, step * order + residue)
-    _dump_coefficients(
-        progression(series, step, residue, order),
-        fmt,
-        {
-            "source": src.key(),
-            "modulus": mod,
-            "step": step,
-            "residue": residue,
-            "order": order,
-        },
+    _print_progression(
+        source, mod, fmt, order, step, residue, {"step": step, "residue": residue}
     )
 
 
-def _verify_text(reports) -> None:
+def _report_lines(reports):
     for r in reports:
         label = r.description or r.claim_id
+        ce = r.counterexample or {}
         if r.status == "pass":
-            line = f"{r.claim_id}: {label}: PASS n≤{r.n_checked}"
+            yield f"{r.claim_id}: {label}: PASS n≤{r.n_checked}"
         elif r.status == "fail":
-            ce = r.counterexample or {}
-            line = (
-                f"{r.claim_id}: {label}: FAIL at n={ce.get('n')} "
-                f"(value {ce.get('value')})"
-            )
-        elif r.status == "vacuous":
-            line = f"{r.claim_id}: VACUOUS ({r.message})"
-        else:
-            line = f"{r.claim_id}: ERROR ({r.message})"
-        click.echo(line)
-    counts = {}
-    for r in reports:
-        counts[r.status] = counts.get(r.status, 0) + 1
-    summary = ", ".join(f"{v} {k}" for k, v in sorted(counts.items()))
-    click.echo(f"-- {len(reports)} claims: {summary}")
+            yield (f"{r.claim_id}: {label}: FAIL at n={ce.get('n')} "
+                   f"(value {ce.get('value')})")
+        else:  # vacuous or error
+            yield f"{r.claim_id}: {r.status.upper()} ({r.message})"
+    counts = sorted(Counter(r.status for r in reports).items())
+    yield f"-- {len(reports)} claims: " + ", ".join(f"{v} {k}" for k, v in counts)
 
 
-def _verify_csv(reports) -> None:
-    _echo_csv(
-        [
-            "claim_id",
-            "status",
-            "n_checked",
-            "truncation",
-            "counterexample_n",
-            "counterexample_value",
-            "elapsed_ms",
-        ],
+def _print_reports(fmt: str, reports) -> None:
+    _emit(
+        fmt,
+        _report_lines(reports),
+        lambda: reports_to_json(reports),
+        ["claim_id", "status", "n_checked", "truncation", "counterexample_n",
+         "counterexample_value", "elapsed_ms"],
         (
-            [
-                r.claim_id,
-                r.status,
-                r.n_checked,
-                r.truncation,
-                (r.counterexample or {}).get("n", ""),
-                (r.counterexample or {}).get("value", ""),
-                r.elapsed_ms,
-            ]
+            [r.claim_id, r.status, r.n_checked, r.truncation,
+             (r.counterexample or {}).get("n", ""),
+             (r.counterexample or {}).get("value", ""), r.elapsed_ms]
             for r in reports
         ),
     )
@@ -192,20 +181,11 @@ def verify_cmd(
         ids.extend(part for part in re.split(r",(?![^\[]*\])", chunk) if part)
     if run_all and claim_ids or not run_all and not ids:
         raise click.UsageError("select claims with --claims or pass --all, not both")
-    if run_all:
-        selected = default_catalog()
-        issues = []
-    else:
-        selected, issues = resolve_selection(ids)
+    selected, issues = (default_catalog(), []) if run_all else resolve_selection(ids)
     _check_cap(0, EXACT)  # a malformed cap fails even a run that expands nothing
     reports = verify(selected, n_max=nmax)
     reports.extend(issue_report(issue) for issue in issues)
-    if fmt == "json":
-        click.echo(reports_to_json(reports))
-    elif fmt == "csv":
-        _verify_csv(reports)
-    else:
-        _verify_text(reports)
+    _print_reports(fmt, reports)
     if any(r.status in ("fail", "error") for r in reports):
         sys.exit(1)
 
@@ -234,26 +214,26 @@ def search(k: int, amax: int, moduli: tuple[int, ...], nmax: int, fmt: str) -> N
     found = []
     for m in sorted(set(moduli)):
         series = cache.get(source, Mod(m), order)
-        for step in range(1, amax + 1):
-            for residue in range(step):
-                if not any(progression(series, step, residue, nmax)):
-                    found.append(
-                        {"k": k, "step": step, "residue": residue, "modulus": m,
-                         "n_checked": nmax}
-                    )
+        found += (
+            (k, step, residue, m, nmax)
+            for step in range(1, amax + 1)
+            for residue in range(step)
+            if not any(progression(series, step, residue, nmax))
+        )
     note = "candidate (bounded evidence only)"
-    if fmt == "json":
-        click.echo(json.dumps([{**f, "note": note} for f in found], sort_keys=True))
-    elif fmt == "csv":
-        header = ["k", "step", "residue", "modulus", "n_checked"]
-        _echo_csv(header, ([f[name] for name in header] for f in found))
-    else:
-        for f in found:
-            click.echo(
-                f"B_{f['k']}({f['step']}n+{f['residue']}) ≡ 0 "
-                f"(mod {f['modulus']})  [{note}, n≤{f['n_checked']}]"
-            )
-        click.echo(f"-- {len(found)} candidates")
+    header = ["k", "step", "residue", "modulus", "n_checked"]
+    _emit(
+        fmt,
+        chain(
+            (f"B_{k}({a}n+{b}) ≡ 0 (mod {m})  [{note}, n≤{nmax}]"
+             for _, a, b, m, _ in found),
+            [f"-- {len(found)} candidates"],
+        ),
+        lambda: json.dumps([dict(zip(header, f), note=note) for f in found],
+                           sort_keys=True),
+        header,
+        found,
+    )
 
 
 if __name__ == "__main__":

@@ -108,7 +108,14 @@ from .oracles import MR_EXACT_BELOW, is_prime
 from .products import ProductSpec, product_series
 from .rings import EXACT, CoefficientRing, Mod
 from .series import TruncatedSeries
-from .theta import cube_terms, euler_series, pentagonal_terms, theta_f, theta_terms
+from .theta import (
+    _dense,
+    cube_terms,
+    euler_series,
+    pentagonal_terms,
+    theta_f,
+    theta_terms,
+)
 
 # The strided product of a numerator with nnz(N) nonzero terms by an
 # inverse in q^h costs nnz(N) * (m // h + 1) slice steps; it is taken while
@@ -144,7 +151,7 @@ def _euler_power(m: int, t: int, e: int, ring: CoefficientRing) -> TruncatedSeri
     if e < 3 or bin(e - 3).count("1") >= bin(e).count("1"):
         x = euler_series(k, 1, ring).pow(e)
     else:
-        x = TruncatedSeries(ring, _sparse_product(cube_terms(k), [1], 1, k))
+        x = _dense(cube_terms(k), k, ring)
         if e > 3:
             x = x * euler_series(k, 1, ring).pow(e - 3)
     return x.inflate(t).resized(m)

@@ -15,9 +15,13 @@ before a lane could overflow are the lanes reduced mod M, or over Z widened
 to fit the largest coefficient.  A division by 1 - x is a product of
 binomials 1 + x^(2^i), and one by 1 + x is that times 1 - x, so the chain
 is still definitional: it makes no ``invert``, no Newton step, no Frobenius
-split and no convolution.  It shares only the lane packing helpers of
-:mod:`qbracelet._kernel` with that expander, which is why the tests check
-it against a plain list loop.
+split and no convolution.  The chain shares only the lane packing helpers
+of :mod:`qbracelet._kernel` with that expander, which is why the tests
+check it against a plain list loop.  :func:`product_series` then raises
+each chain to ``|e|`` and multiplies the parts once as
+:class:`TruncatedSeries`, so those steps do run on ``_kernel.conv_mod`` and
+``conv_exact``, the expander's kernels, which ``tests/test_kernels.py``
+checks against a schoolbook reference.
 """
 
 from __future__ import annotations

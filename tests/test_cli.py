@@ -12,7 +12,7 @@ import pytest
 from click.testing import CliRunner
 
 from qbracelet.claims import CongruenceClaim, resolve_selection
-from qbracelet.cli import _verify_csv, _verify_text, main
+from qbracelet.cli import _print_reports, main
 from qbracelet.products import ProductSpec, product_series
 from qbracelet.sources import (
     bracelet_source,
@@ -162,6 +162,25 @@ def test_an_order_too_long_to_print_is_a_one_line_error(runner, args, cap):
     assert result.output == (
         f"Error: required order of more than {limit} digits exceeds the cap {cap} "
         "(override with QBRACELET_ORDER_CAP)\n"
+    )
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["coeffs", "bracelet:99999999999999999", "300"],
+        # B(2n) at n = 144 is the coefficient of q^288 of the source
+        ["dissect", "bracelet:99999999999999999", "2", "0", "-N", "150"],
+    ],
+)
+def test_a_coefficient_too_long_to_print_is_a_one_line_error(runner, args, fmt):
+    result = run(runner, *args, "--format", fmt)
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    limit = sys.get_int_max_str_digits()
+    assert result.output == (
+        f"Error: the coefficient of q^288 has more than {limit} digits\n"
     )
 
 
@@ -434,6 +453,59 @@ def test_verify_out_of_table_parameter_is_one_error_line(runner):
     ]
 
 
+_SEARCH_NOTE = "candidate (bounded evidence only)"
+_SEARCH_HITS = [(4, 3), (8, 3), (8, 6), (8, 7), (10, 6), (10, 8)]
+
+PINNED_OUTPUT = {
+    ("coeffs", "euler", "8"): {
+        "text": "1 -1 -1 0 0 1 0 1 0\n",
+        "json": '{"coefficients": [1, -1, -1, 0, 0, 1, 0, 1, 0], "modulus": null, '
+                '"order": 8, "source": "euler:1"}\n',
+        "csv": "n,coefficient\r\n0,1\r\n1,-1\r\n2,-1\r\n3,0\r\n4,0\r\n5,1\r\n6,0\r\n"
+               "7,1\r\n8,0\r\n",
+    },
+    ("coeffs", "partition", "6", "--mod", "3"): {
+        "text": "1 1 2 0 2 1 2\n",
+        "json": '{"coefficients": [1, 1, 2, 0, 2, 1, 2], "modulus": 3, "order": 6, '
+                '"source": "partition"}\n',
+        "csv": "n,coefficient\r\n0,1\r\n1,1\r\n2,2\r\n3,0\r\n4,2\r\n5,1\r\n6,2\r\n",
+    },
+    ("dissect", "bracelet:5", "10", "2", "--mod", "2", "-N", "8"): {
+        "text": "1 1 0 1 1 0 0 1 1\n",
+        "json": '{"coefficients": [1, 1, 0, 1, 1, 0, 0, 1, 1], "modulus": 2, '
+                '"order": 8, "residue": 2, "source": "bracelet:5", "step": 10}\n',
+        "csv": "n,coefficient\r\n0,1\r\n1,1\r\n2,0\r\n3,1\r\n4,1\r\n5,0\r\n6,0\r\n"
+               "7,1\r\n8,1\r\n",
+    },
+    ("search", "5", "--amax", "10", "--mod", "2", "--nmax", "20"): {
+        "text": "".join(
+            f"B_5({a}n+{b}) ≡ 0 (mod 2)  [{_SEARCH_NOTE}, n≤20]\n" for a, b in _SEARCH_HITS
+        ) + "-- 6 candidates\n",
+        "json": "[" + ", ".join(
+            f'{{"k": 5, "modulus": 2, "n_checked": 20, "note": "{_SEARCH_NOTE}", '
+            f'"residue": {b}, "step": {a}}}'
+            for a, b in _SEARCH_HITS
+        ) + "]\n",
+        "csv": "k,step,residue,modulus,n_checked\r\n"
+               + "".join(f"5,{a},{b},2,20\r\n" for a, b in _SEARCH_HITS),
+    },
+    ("search", "5", "--amax", "1", "--mod", "2", "--nmax", "5"): {
+        "text": "-- 0 candidates\n",
+        "json": "[]\n",
+        "csv": "k,step,residue,modulus,n_checked\r\n",
+    },
+}
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+@pytest.mark.parametrize("args", list(PINNED_OUTPUT))
+def test_coefficient_and_search_rendering_is_pinned(runner, args, fmt):
+    # the exact bytes: spacing, key order and the CSV's \r\n line ends
+    result = run(runner, *args, "--format", fmt)
+    assert result.exit_code == 0
+    assert result.stdout_bytes.decode("utf-8") == PINNED_OUTPUT[args][fmt]
+
+
 RENDERED_TEXT = """\
 X1: p(5n+4) ≡ 0 (mod 5): PASS n≤1
 X2: Σ (q;q)oo(n) q^n ≡ -(q;q)oo (mod 2): PASS n≤10
@@ -489,7 +561,7 @@ def test_verify_rendering_is_pinned(monkeypatch, capsys):
     reports = verify(claims)
     reports += [issue_report(issue) for issue in issues]
     reports = [VerificationReport(**{**r._asdict(), "elapsed_ms": 0.0}) for r in reports]
-    _verify_text(reports)
+    _print_reports("text", reports)
     assert capsys.readouterr().out == RENDERED_TEXT
-    _verify_csv(reports)
+    _print_reports("csv", reports)
     assert capsys.readouterr().out == RENDERED_CSV
