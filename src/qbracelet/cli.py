@@ -23,6 +23,7 @@ from .verify import (
     order_cap,
     progression,
     reports_to_json,
+    vanishing_progressions,
     verify,
 )
 
@@ -216,9 +217,7 @@ def search(k: int, amax: int, moduli: tuple[int, ...], nmax: int, fmt: str) -> N
         series = cache.get(source, Mod(m), order)
         found += (
             (k, step, residue, m, nmax)
-            for step in range(1, amax + 1)
-            for residue in range(step)
-            if not any(progression(series, step, residue, nmax))
+            for step, residue in vanishing_progressions(series, amax, nmax)
         )
     note = "candidate (bounded evidence only)"
     header = ["k", "step", "residue", "modulus", "n_checked"]

@@ -105,14 +105,12 @@ class SeriesCache:
         return cached
 
 
-def progression(series: TruncatedSeries, step: int, residue: int, n_max: int) -> list[int]:
-    """Coefficients at ``step * n + residue`` for n = 0..n_max.
-
-    ``residue >= step`` is allowed, since large family parameters
-    legitimately produce it.  A step below 1, a negative residue or
-    ``n_max``, or a series too short to reach n = n_max, is an error, never
-    a shorter or wrong list.
-    """
+def _progression_end(
+    series: TruncatedSeries, step: int, residue: int, n_max: int
+) -> int:
+    """The index ``step * n_max + residue`` of the last coefficient of a
+    progression, after refusing a step below 1, a negative residue or
+    ``n_max``, and a series too short to reach it."""
     if step < 1 or residue < 0:
         raise ValueError(
             f"progression {step}n+{residue} needs step >= 1 and residue >= 0"
@@ -125,7 +123,57 @@ def progression(series: TruncatedSeries, step: int, residue: int, n_max: int) ->
             f"progression {step}n+{residue} to n={n_max} exceeds series order "
             f"{series.order}"
         )
+    return last
+
+
+def progression(series: TruncatedSeries, step: int, residue: int, n_max: int) -> list[int]:
+    """Coefficients at ``step * n + residue`` for n = 0..n_max.
+
+    ``residue >= step`` is allowed, since large family parameters
+    legitimately produce it.  A step below 1, a negative residue or
+    ``n_max``, or a series too short to reach n = n_max, is an error, never
+    a shorter or wrong list.
+    """
+    last = _progression_end(series, step, residue, n_max)
     return series.coeffs[residue : last + 1 : step]
+
+
+# byte 0 -> ASCII "0", any other byte -> "1"
+_NONZERO_DIGIT = bytes([48] + [49] * 255)
+
+
+def vanishing_progressions(
+    series: TruncatedSeries, amax: int, n_max: int
+) -> list[tuple[int, int]]:
+    """Every (step, residue), 1 <= step <= amax and 0 <= residue < step,
+    whose progression ``step * n + residue`` is zero for n = 0..n_max, in
+    that order: the pairs for which ``progression`` is all zeros.
+
+    The coefficients are read once into an int whose bit i is set iff
+    c_i != 0.  For each step a, its low a (n_max + 1) bits are folded in
+    half, at a multiple of a, until a bits remain: bit b of the result is
+    the OR over the progression a n + b, so its zero bits are the
+    residues.  Refuses what ``progression`` refuses for step ``amax`` and
+    residue ``amax - 1``.
+    """
+    last = _progression_end(series, amax, amax - 1, n_max)
+    cs = series.coeffs[: last + 1]
+    m = series.ring.modulus
+    # mod M <= 256 the canonical coefficients are bytes already
+    small = m is not None and m <= 256
+    digits = bytes(cs if small else map(bool, cs)).translate(_NONZERO_DIGIT)
+    nonzero = int(digits[::-1], 2)
+    found = []
+    for a in range(1, amax + 1):
+        blocks = n_max + 1
+        bits = nonzero & ((1 << a * blocks) - 1)
+        while blocks > 1:
+            blocks = (blocks + 1) // 2
+            high = bits >> a * blocks
+            bits ^= high << a * blocks
+            bits |= high
+        found += ((a, b) for b in range(a) if not bits >> b & 1)
+    return found
 
 
 Side = tuple[SeriesSource, int, int, int]  # source, step, residue, order

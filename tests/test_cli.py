@@ -14,15 +14,17 @@ from click.testing import CliRunner
 from qbracelet.claims import CongruenceClaim, resolve_selection
 from qbracelet.cli import _print_reports, main
 from qbracelet.products import ProductSpec, product_series
+from qbracelet.rings import Mod
 from qbracelet.sources import (
     bracelet_source,
     euler_source,
+    expand_source,
     lregular_source,
     partition_source,
     product_source,
     quintic_euler_source,
 )
-from qbracelet.verify import VerificationReport, issue_report, verify
+from qbracelet.verify import VerificationReport, issue_report, progression, verify
 
 
 @pytest.fixture
@@ -504,6 +506,43 @@ def test_coefficient_and_search_rendering_is_pinned(runner, args, fmt):
     result = run(runner, *args, "--format", fmt)
     assert result.exit_code == 0
     assert result.stdout_bytes.decode("utf-8") == PINNED_OUTPUT[args][fmt]
+
+
+def _search_by_progression(k, amax, nmax, moduli):
+    """What search prints, from every progression read one at a time, in
+    each format: the reference for the one-fold scan."""
+    order = amax * nmax + amax - 1
+    found = [
+        (k, a, b, m, nmax)
+        for m in sorted(set(moduli))
+        for series in [expand_source(bracelet_source(k), Mod(m), order)]
+        for a in range(1, amax + 1)
+        for b in range(a)
+        if not any(progression(series, a, b, nmax))
+    ]
+    header = ["k", "step", "residue", "modulus", "n_checked"]
+    out = io.StringIO()
+    csv.writer(out).writerows([header, *found])
+    return found, {
+        "text": "".join(
+            f"B_{k}({a}n+{b}) ≡ 0 (mod {m})  [{_SEARCH_NOTE}, n≤{nmax}]\n"
+            for _, a, b, m, _ in found
+        ) + f"-- {len(found)} candidates\n",
+        "json": json.dumps([dict(zip(header, f), note=_SEARCH_NOTE) for f in found],
+                           sort_keys=True) + "\n",
+        "csv": out.getvalue(),
+    }
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+def test_search_over_several_moduli_matches_the_progression_reader(runner, fmt):
+    # 257 is past one byte per coefficient; moduli print in increasing order
+    found, expected = _search_by_progression(5, 12, 60, [257, 2, 5])
+    assert {m for *_, m, _ in found} == {2, 5}
+    result = run(runner, "search", "5", "--amax", "12", "--nmax", "60",
+                 "--mod", "257", "--mod", "2", "--mod", "5", "--format", fmt)
+    assert result.exit_code == 0
+    assert result.stdout_bytes.decode("utf-8") == expected[fmt]
 
 
 RENDERED_TEXT = """\

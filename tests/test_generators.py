@@ -323,8 +323,9 @@ def test_corrupted_pentagonal_terms_raise(monkeypatch):
     with pytest.raises(ArithmeticError):
         expand_source(bracelet_source(5), EXACT, 100)
     # the in-place steps (every |e_t| of these maps is 1 or 3, so each
-    # factor is multiplied or divided in) refuse any constant term but 1
-    for key in ("partition", "lregular:9", "brokendiamond:6", "bracelet:3"):
+    # factor is multiplied, divided or, on the starting 1, placed in)
+    # refuse any constant term but 1
+    for key in ("partition", "lregular:9", "brokendiamond:6", "bracelet:3", "euler:7"):
         with pytest.raises(ArithmeticError):
             expand_source(parse_source(key), EXACT, 100)
 
@@ -416,6 +417,7 @@ EXACT_ROUTE_MAPS = [
     {1: -1}, {1: -3}, {1: 1}, {1: 3}, {2: -1, 5: 1}, {2: -3, 3: 1}, {3: 3, 1: -1},
     {1: -5, 2: -3, 3: 3}, {1: -5, 2: -3}, {2: -5, 4: 3, 6: -3}, {3: -4, 1: 3, 2: -1},
     {1: -5, 2: -2}, {1: -5, 2: 2}, {1: -2}, {1: 2, 3: -1}, {2: 2, 3: -3},
+    {2: 3, 5: -1}, {7: 1},
 ]
 
 
@@ -425,6 +427,22 @@ def test_exact_routes_match_the_definition(kernel_calls, exponents, n):
     conv_exact_calls = kernel_calls("conv_exact")
     got = eta_quotient(exponents, n)
     assert conv_exact_calls == []
+    spec = ProductSpec.of(*((-1, t, t, e) for t, e in exponents.items()))
+    assert got == product_series(spec, n, EXACT)
+
+
+@pytest.mark.parametrize(
+    "exponents, sparse_products",
+    [({1: 1}, 0), ({1: 2}, 1), ({1: 3}, 0), ({2: 3, 5: -1}, 0), ({7: 1}, 0), ({1: -1, 2: 1}, 1)],
+    ids=str,
+)
+@pytest.mark.parametrize("n", [2, 3, 400])  # at order 0 every factor meets [1]
+def test_a_factor_on_the_starting_one_is_placed(monkeypatch, exponents, sparse_products, n):
+    # the first in-place factor, when it multiplies the starting 1, places
+    # its terms; only a factor applied after another makes a sparse product
+    calls = _record(monkeypatch, "_sparse_product")
+    got = eta_quotient(exponents, n)
+    assert len(calls) == sparse_products
     spec = ProductSpec.of(*((-1, t, t, e) for t, e in exponents.items()))
     assert got == product_series(spec, n, EXACT)
 

@@ -1,6 +1,7 @@
 """Verification engine behaviour: statuses, caching, determinism."""
 
 import json
+import random
 import re
 import sys
 from pathlib import Path
@@ -27,6 +28,7 @@ from qbracelet.verify import (
     order_cap,
     progression,
     reports_to_json,
+    vanishing_progressions,
     verify,
 )
 
@@ -247,6 +249,78 @@ def test_progression_refuses_n_max_minus_one():
     x = TruncatedSeries(EXACT, list(range(10)))
     with pytest.raises(ValueError, match="n_max must be >= 0, got -1"):
         progression(x, 5, 4, -1)
+
+
+def _vanishing_by_progression(series, amax, n_max):
+    """The reference: every (step, residue) read one progression at a time."""
+    return [
+        (step, residue)
+        for step in range(1, amax + 1)
+        for residue in range(step)
+        if not any(progression(series, step, residue, n_max))
+    ]
+
+
+def _random_series(rng, modulus, order, density, zeros):
+    """A series whose coefficients are nonzero with probability DENSITY,
+    with the progressions ZEROS (step, residue) set to zero; the nonzero
+    ones include 256 (a zero low byte) and modulus - 1."""
+    top = 10**30 if modulus is None else modulus
+    pool = [1, top - 1, 256 % top or 1]
+    cs = [
+        (rng.choice(pool) if rng.random() < 0.5 else rng.randrange(1, top))
+        * (rng.choice((1, -1)) if modulus is None else 1)
+        if rng.random() < density else 0
+        for _ in range(order + 1)
+    ]
+    for step, residue in zeros:
+        cs[residue::step] = [0] * len(cs[residue::step])
+    return TruncatedSeries(EXACT if modulus is None else Mod(modulus), cs)
+
+
+@pytest.mark.parametrize("modulus", [2, 3, 25, 255, 256, 257, 1_000_003, None])
+@pytest.mark.parametrize("density", [0.03, 0.5, 1.0])
+@pytest.mark.parametrize("amax, n_max", [(1, 0), (1, 7), (6, 0), (7, 9), (12, 30)])
+def test_vanishing_progressions_match_the_progression_reader(modulus, density, amax, n_max):
+    rng = random.Random(f"{modulus}-{density}-{amax}-{n_max}")
+    order = amax * n_max + amax - 1  # exactly the order the search needs
+    for planted in range(4):  # progressions set to zero, none the first time
+        zeros = [(a, rng.randrange(a)) for a in rng.choices(range(1, amax + 1), k=planted)]
+        series = _random_series(rng, modulus, order, density, zeros)
+        expected = _vanishing_by_progression(series, amax, n_max)
+        assert vanishing_progressions(series, amax, n_max) == expected
+        longer = TruncatedSeries(series.ring, series.coeffs + [1] * 5)
+        assert vanishing_progressions(longer, amax, n_max) == expected
+
+
+def test_vanishing_progressions_of_b5_mod_2_include_the_paper_s():
+    series = SeriesCache().get(bracelet_source(5), Mod(2), 10 * 40 + 9)
+    found = vanishing_progressions(series, 10, 40)
+    assert found == _vanishing_by_progression(series, 10, 40)
+    assert {(10, 6), (10, 8)} <= set(found)
+
+
+@pytest.mark.parametrize("modulus", [2, 257, None])
+@pytest.mark.parametrize(
+    "amax, n_max, order, message",
+    [
+        (7, 9, 68, "progression 7n+6 to n=9 exceeds series order 68"),  # one short
+        (1, 3, 2, "progression 1n+0 to n=3 exceeds series order 2"),
+        (3, -1, 10, "progression n_max must be >= 0, got -1"),
+        (0, 4, 10, "progression 0n+-1 needs step >= 1 and residue >= 0"),
+    ],
+)
+def test_vanishing_progressions_refuse_what_progression_refuses(
+    modulus, amax, n_max, order, message
+):
+    ring = EXACT if modulus is None else Mod(modulus)
+    series = TruncatedSeries(ring, [0] * (order + 1))
+    with pytest.raises(ValueError) as excinfo:
+        vanishing_progressions(series, amax, n_max)
+    assert str(excinfo.value) == message
+    with pytest.raises(ValueError) as excinfo:
+        progression(series, amax, amax - 1, n_max)
+    assert str(excinfo.value) == message
 
 
 def test_series_congruence_failure_reports_residual():
