@@ -15,14 +15,15 @@ from itertools import chain
 import click
 
 from .claims import default_catalog, int_str_limit, printable, resolve_selection
+from .generators import gf2_bits
 from .rings import EXACT, CoefficientRing, Mod
 from .sources import bracelet_source, expand_source, parse_source
 from .verify import (
-    SeriesCache,
     issue_report,
     order_cap,
     progression,
     reports_to_json,
+    vanishing_bits,
     vanishing_progressions,
     verify,
 )
@@ -211,14 +212,15 @@ def search(k: int, amax: int, moduli: tuple[int, ...], nmax: int, fmt: str) -> N
     order = amax * nmax + amax - 1
     _check_cap(order, Mod(max(moduli)))
     source = bracelet_source(k)
-    cache = SeriesCache()
     found = []
     for m in sorted(set(moduli)):
-        series = cache.get(source, Mod(m), order)
-        found += (
-            (k, step, residue, m, nmax)
-            for step, residue in vanishing_progressions(series, amax, nmax)
-        )
+        if m == 2:  # the bitset of the eta map, which is all of B_k's normal form
+            bits = gf2_bits(dict(source.spec.normal_form().eta), order)
+            pairs = vanishing_bits(bits, order, amax, nmax)
+        else:
+            series = expand_source(source, Mod(m), order)
+            pairs = vanishing_progressions(series, amax, nmax)
+        found += ((k, step, residue, m, nmax) for step, residue in pairs)
     note = "candidate (bounded evidence only)"
     header = ["k", "step", "residue", "modulus", "n_checked"]
     _emit(

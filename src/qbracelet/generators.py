@@ -35,13 +35,18 @@ O(n sqrt n) small-by-bignum operations, where the convolutions and Newton
 inversion of the modular route would multiply bignums of hundreds of
 bits; only a quotient with two factors of |e_t| >= 4 makes a convolution.
 
-Over Z/2: one bitset, no convolution.  Mod 2, (q^t;q^t)^{2^k} ==
-(q^{t 2^k};q^{t 2^k}), which is 1 up to q^n once t 2^k > n.  So each
-exponent is taken mod 2^k for k = bitlength(n // t), which also makes it
-nonnegative, and each binary digit i of it multiplies a Python-int bitset
-by the sparse (q^{t 2^i};q^{t 2^i}): one shift and XOR per pentagonal
-term, masked to n + 1 bits.  The classical case is
-1/(q;q) == prod_{i<k} (q^{2^i};q^{2^i}) (mod 2).
+Over Z/2: one bitset, no convolution (:func:`gf2_bits`).  Mod 2,
+(q^t;q^t)^{2^k} == (q^{t 2^k};q^{t 2^k}), the p = 2 case of the Frobenius
+step below.  So the map is first merged by odd part: every t = u 2^v adds
+e_t 2^v to one exponent E_u of (q^u;q^u), and B_6's {1: -6, 2: 1, 6: 1,
+12: -1} becomes {1: -4, 3: -2}.  (q^u;q^u)^{2^k} is 1 up to q^n once
+u 2^k > n, so E_u is taken mod 2^k for k = bitlength(n // u), which also
+makes it nonnegative, and each binary digit i of it multiplies a
+Python-int bitset by the sparse (q^{u 2^i};q^{u 2^i}): one shift and XOR
+per pentagonal term, masked to n + 1 bits.  The merge is exact and never
+adds a sparse product, since the binary ones of a sum are at most those of
+its terms.  The classical case is 1/(q;q) == prod_{i<k} (q^{2^i};q^{2^i})
+(mod 2).  The bitset is the result; a series over Z/2 is read off it.
 
 Over any other Z/M: Frobenius, its lift mod p^2, inflation and Newton.
 The power recurrence divides by m, which is not invertible mod p, the
@@ -347,17 +352,21 @@ def _pentagonal_quotient(live: dict[int, int], n: int) -> TruncatedSeries:
     return TruncatedSeries(EXACT, cs, normalize=False)
 
 
-_BITS = bytes.maketrans(b"01", b"\x00\x01")
-
-
-def _gf2_quotient(live: dict[int, int], n: int) -> TruncatedSeries:
-    """prod_t (q^t;q^t)^{e_t} over Z/2 to order n, for 1 <= t <= n, with
-    no convolution: (q^t;q^t)^{2^k} == 1 once t 2^k > n, so e_t is taken
-    mod 2^k and each binary digit i of it multiplies one bitset by the
-    sparse (q^{t 2^i};q^{t 2^i}), shift by shift."""
+def gf2_bits(exponents: dict[int, int], n: int) -> int:
+    """prod_t (q^t;q^t)^{e_t} over Z/2 to order n, for steps t >= 1, as an
+    int whose bit i is the coefficient of q^i: the map is merged by odd
+    part, (q^{u 2^v};q^{u 2^v})^e == (q^u;q^u)^{e 2^v}, into one exponent
+    E_u per odd u, taken mod 2^k, k = bitlength(n // u), since
+    (q^u;q^u)^{2^k} == 1 up to q^n; each binary digit i of E_u then
+    multiplies the bitset by the sparse (q^{u 2^i};q^{u 2^i}), shift by
+    shift, with no convolution."""
+    merged: dict[int, int] = {}
+    for t, e in exponents.items():
+        v = (t & -t).bit_length() - 1
+        merged[t >> v] = merged.get(t >> v, 0) + (e << v)
     mask = (1 << (n + 1)) - 1
     bits = 1
-    for t, e in live.items():
+    for t, e in merged.items():
         e %= 1 << (n // t).bit_length()
         while e:
             if e & 1:
@@ -367,7 +376,15 @@ def _gf2_quotient(live: dict[int, int], n: int) -> TruncatedSeries:
                 bits = acc & mask
             e >>= 1
             t *= 2
-    digits = format(bits, f"0{n + 1}b")[::-1].encode().translate(_BITS)
+    return bits
+
+
+_BITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _gf2_quotient(live: dict[int, int], n: int) -> TruncatedSeries:
+    """:func:`gf2_bits` as a series over Z/2, one coefficient per bit."""
+    digits = format(gf2_bits(live, n), f"0{n + 1}b")[::-1].encode().translate(_BITS)
     return TruncatedSeries(Mod(2), list(digits), normalize=False)
 
 

@@ -105,12 +105,10 @@ class SeriesCache:
         return cached
 
 
-def _progression_end(
-    series: TruncatedSeries, step: int, residue: int, n_max: int
-) -> int:
+def _progression_end(order: int, step: int, residue: int, n_max: int) -> int:
     """The index ``step * n_max + residue`` of the last coefficient of a
     progression, after refusing a step below 1, a negative residue or
-    ``n_max``, and a series too short to reach it."""
+    ``n_max``, and a series of this order too short to reach it."""
     if step < 1 or residue < 0:
         raise ValueError(
             f"progression {step}n+{residue} needs step >= 1 and residue >= 0"
@@ -118,10 +116,10 @@ def _progression_end(
     if n_max < 0:
         raise ValueError(f"progression n_max must be >= 0, got {n_max}")
     last = step * n_max + residue
-    if last > series.order:
+    if last > order:
         raise ValueError(
             f"progression {step}n+{residue} to n={n_max} exceeds series order "
-            f"{series.order}"
+            f"{order}"
         )
     return last
 
@@ -134,7 +132,7 @@ def progression(series: TruncatedSeries, step: int, residue: int, n_max: int) ->
     ``n_max``, or a series too short to reach n = n_max, is an error, never
     a shorter or wrong list.
     """
-    last = _progression_end(series, step, residue, n_max)
+    last = _progression_end(series.order, step, residue, n_max)
     return series.coeffs[residue : last + 1 : step]
 
 
@@ -147,22 +145,29 @@ def vanishing_progressions(
 ) -> list[tuple[int, int]]:
     """Every (step, residue), 1 <= step <= amax and 0 <= residue < step,
     whose progression ``step * n + residue`` is zero for n = 0..n_max, in
-    that order: the pairs for which ``progression`` is all zeros.
-
-    The coefficients are read once into an int whose bit i is set iff
-    c_i != 0.  For each step a, its low a (n_max + 1) bits are folded in
-    half, at a multiple of a, until a bits remain: bit b of the result is
-    the OR over the progression a n + b, so its zero bits are the
-    residues.  Refuses what ``progression`` refuses for step ``amax`` and
-    residue ``amax - 1``.
-    """
-    last = _progression_end(series, amax, amax - 1, n_max)
+    that order: the pairs for which ``progression`` is all zeros.  Refuses
+    what ``progression`` refuses for step ``amax`` and residue
+    ``amax - 1``, then reads the coefficients once into an int whose bit i
+    is set iff c_i != 0 and folds it by :func:`vanishing_bits`."""
+    last = _progression_end(series.order, amax, amax - 1, n_max)
     cs = series.coeffs[: last + 1]
     m = series.ring.modulus
     # mod M <= 256 the canonical coefficients are bytes already
     small = m is not None and m <= 256
     digits = bytes(cs if small else map(bool, cs)).translate(_NONZERO_DIGIT)
-    nonzero = int(digits[::-1], 2)
+    return vanishing_bits(int(digits[::-1], 2), last, amax, n_max)
+
+
+def vanishing_bits(
+    nonzero: int, order: int, amax: int, n_max: int
+) -> list[tuple[int, int]]:
+    """:func:`vanishing_progressions` of a series of this order given as a
+    nonnegative int whose bit i is set iff c_i != 0 (over Z/2 the
+    coefficients themselves).  For each step a, its low a (n_max + 1) bits
+    are folded in half, at a multiple of a, until a bits remain: bit b of
+    the result is the OR over the progression a n + b, so its zero bits are
+    the residues."""
+    _progression_end(order, amax, amax - 1, n_max)
     found = []
     for a in range(1, amax + 1):
         blocks = n_max + 1

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+from qbracelet import generators
 from qbracelet.claims import CongruenceClaim, resolve_selection
 from qbracelet.cli import _print_reports, main
 from qbracelet.products import ProductSpec, product_series
@@ -24,7 +25,14 @@ from qbracelet.sources import (
     product_source,
     quintic_euler_source,
 )
-from qbracelet.verify import VerificationReport, issue_report, progression, verify
+from qbracelet.series import TruncatedSeries
+from qbracelet.verify import (
+    SeriesCache,
+    VerificationReport,
+    issue_report,
+    progression,
+    verify,
+)
 
 
 @pytest.fixture
@@ -400,6 +408,30 @@ def test_search_rediscovers_mod25(runner):
     data = json.loads(result.output)
     assert {"k": 5, "step": 10, "residue": 7, "modulus": 25, "n_checked": 100,
             "note": "candidate (bounded evidence only)"} in data
+
+
+SEARCH_5_MOD_2 = """\
+B_5(4n+3) ≡ 0 (mod 2)  [candidate (bounded evidence only), n≤40]
+B_5(8n+3) ≡ 0 (mod 2)  [candidate (bounded evidence only), n≤40]
+B_5(8n+6) ≡ 0 (mod 2)  [candidate (bounded evidence only), n≤40]
+B_5(8n+7) ≡ 0 (mod 2)  [candidate (bounded evidence only), n≤40]
+B_5(10n+6) ≡ 0 (mod 2)  [candidate (bounded evidence only), n≤40]
+B_5(10n+8) ≡ 0 (mod 2)  [candidate (bounded evidence only), n≤40]
+-- 6 candidates
+"""
+
+
+def test_search_mod2_builds_no_series(runner, monkeypatch):
+    # mod 2 the search folds the bitset of the bracelet's eta map itself
+    def refuse(*args, **kwargs):
+        raise AssertionError("search --mod 2 built a series")
+
+    monkeypatch.setattr(generators, "_gf2_quotient", refuse)
+    monkeypatch.setattr(SeriesCache, "get", refuse)
+    monkeypatch.setattr(TruncatedSeries, "__init__", refuse)
+    result = run(runner, "search", "5", "--amax", "10", "--nmax", "40", "--mod", "2")
+    assert result.exit_code == 0
+    assert result.stdout_bytes.decode("utf-8") == SEARCH_5_MOD_2
 
 
 @pytest.mark.parametrize("nmax, found", [(5, True), (6, False)])

@@ -2,6 +2,8 @@
 eta-quotients."""
 
 import hashlib
+import importlib.util
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -24,6 +26,7 @@ from qbracelet.generators import (
     bracelet_definition_spec,
     eta_quotient,
     expand_product,
+    gf2_bits,
 )
 from qbracelet.oracles import (
     MR_EXACT_BELOW,
@@ -429,6 +432,73 @@ def test_exact_routes_match_the_definition(kernel_calls, exponents, n):
     assert conv_exact_calls == []
     spec = ProductSpec.of(*((-1, t, t, e) for t, e in exponents.items()))
     assert got == product_series(spec, n, EXACT)
+
+
+def _unmerged_gf2_bits(exponents, n):
+    """The bitset route with no merge by odd part: each factor's own e_t
+    mod 2^bitlength(n // t), one sparse product per binary digit."""
+    mask = (1 << (n + 1)) - 1
+    bits = 1
+    for t, e in exponents.items():
+        e %= 1 << (n // t).bit_length()
+        while e:
+            if e & 1:
+                acc = 0
+                for j, _ in pentagonal_terms(n, t):
+                    acc ^= bits << j
+                bits = acc & mask
+            e >>= 1
+            t *= 2
+    return bits
+
+
+def _search_tiers():
+    """The bracelet orders the search_mod2 benchmark workload draws from."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads.SEARCH_TIERS
+
+
+# maps whose factors share an odd part, which the bitset route merges
+SHARED_ODD_PART_MAPS = [
+    {1: -6, 2: 1, 6: 1, 12: -1}, {1: -1, 4: 1}, {1: 1, 2: -1}, {2: -3, 8: 5, 3: 1, 6: -2},
+]
+SEARCH_ORDER = 48_039  # search --amax 40 --nmax 1200
+
+
+@pytest.mark.parametrize("exponents", EXACT_ROUTE_MAPS + SHARED_ODD_PART_MAPS, ids=str)
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 400])
+def test_gf2_bits_match_the_unmerged_route(exponents, n):
+    assert gf2_bits(exponents, n) == _unmerged_gf2_bits(exponents, n)
+    if n <= 3:  # and the series over Z/2 against the route over Z
+        assert eta_quotient(exponents, n, Mod(2)) == eta_quotient(exponents, n).reduce_mod(2)
+
+
+@pytest.mark.parametrize("k", sorted(k for tier in _search_tiers() for k in tier))
+def test_gf2_bits_match_the_unmerged_route_at_the_search_order(k):
+    eta = dict(bracelet_source(k).spec.normal_form().eta)
+    assert gf2_bits(eta, SEARCH_ORDER) == _unmerged_gf2_bits(eta, SEARCH_ORDER)
+
+
+def test_gf2_bits_merge_factors_by_odd_part(monkeypatch):
+    # B_6 is {1: -6, 2: 1, 6: 1, 12: -1}, merged into {1: -4, 3: -2}: by
+    # the binary digits of -4 mod 2^16 and -2 mod 2^14, no (q^2;q^2) and
+    # no step twice; without the merge the bits are the same, so only the
+    # steps show it
+    steps = []
+    real = generators.pentagonal_terms
+
+    def recording(n, t):
+        steps.append(t)
+        return real(n, t)
+
+    monkeypatch.setattr(generators, "pentagonal_terms", recording)
+    gf2_bits(dict(bracelet_source(6).spec.normal_form().eta), SEARCH_ORDER)
+    assert 2 not in steps
+    assert len(set(steps)) == len(steps)
+    assert sorted(steps) == sorted([1 << i for i in range(2, 16)] + [3 << i for i in range(1, 14)])
 
 
 @pytest.mark.parametrize(

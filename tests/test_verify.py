@@ -28,6 +28,7 @@ from qbracelet.verify import (
     order_cap,
     progression,
     reports_to_json,
+    vanishing_bits,
     vanishing_progressions,
     verify,
 )
@@ -317,6 +318,9 @@ def test_vanishing_progressions_refuse_what_progression_refuses(
     series = TruncatedSeries(ring, [0] * (order + 1))
     with pytest.raises(ValueError) as excinfo:
         vanishing_progressions(series, amax, n_max)
+    assert str(excinfo.value) == message
+    with pytest.raises(ValueError) as excinfo:  # the bitset entry point
+        vanishing_bits(0, order, amax, n_max)
     assert str(excinfo.value) == message
     with pytest.raises(ValueError) as excinfo:
         progression(series, amax, amax - 1, n_max)
