@@ -59,22 +59,26 @@ the paper's proofs start, and the cancellation it exposes is the saving:
 B_125 mod 5 is {2: 1, 250: -1}.
 
 The congruence holds only mod p; over Z/p^2 (p prime, 2 included) its
-first-order binomial lift takes its place.  With X = (q^t;q^t)^p and
-Y = (q^{tp};q^{tp}), X = Y (1 + p Z), so X^a == Y^a (1 + a (X/Y - 1))
-(mod p^2) for a of either sign, and for several such factors the cross
-terms vanish mod p^2: prod_t X_t^{a_t} == Q (1 + sum_t a_t (X_t/Y_t - 1)),
-Q the product of the Y_t^{a_t}.  So each factor with e_t = p a moves
-Y^a into the map at step tp, and the quotient is
-(1 - sum_t a_t) Q + sum_t a_t X_t Q_t, where Q is the moved map's
-quotient and Q_t the same with one Y_t less, both by the route below:
-B_11 mod 121 gives Q = {2: 1, 22: -1}, inverted at order n // 22, and
-Q_1 = {2: 1, 11: -1, 22: -1}, at n // 11, so no Newton step runs at full
-order.  X_t is one (q;q)^p at order n // t, begun from Jacobi's cube when
-that saves a multiplication, and inflated by t; a multiple of p as a
-drops it, since X^{pb} == Y^{pb} (mod p^2).  A factor with a == 1 stays
-as it is, since the lift would only divide X by Y and multiply Y back,
-and so do factors whose e_t p does not divide, higher prime powers and
-composite rings.
+first-order lift takes its place.  For odd p, (1 - x)^p = (1 - x^p) +
+p S(x) with S(x) == -sum_{0<k<p} x^k / k (mod p), so X = (q^t;q^t)^p and
+Y = (q^{tp};q^{tp}) have X == Y (1 + p Z(q^t)) (mod p^2), where
+Z_N == -sum_{d | N, p does not divide d} 1/d (mod p).  For p = 2,
+(q;q)^2 / (q^2;q^2) = sum_k (-1)^k q^{k^2}, so Z_N = 1 exactly when N is
+a nonzero square.  Both are Z_N == -sum_{d | N} d^{p-2} (mod p).  Then
+X^a == Y^a (1 + a p Z) (mod p^2) for a of either sign, and over several
+factors every term with two p's vanishes.  So each factor with e_t = p a
+moves Y^a into the map at step tp and a Z(q^t) into
+W = sum_t a_t Z(q^t), and the quotient is Q + p (Q W mod p), where Q is
+the moved map's quotient by the route below: B_11 mod 121 gives
+Q = {2: 1, 22: -1}, inverted at order n // 22, so no Newton step runs
+at full order.  W is a sieve over Z/p: the weights f_d = -a d^{p-2} mod p,
+for d <= n // t only, go to every index t j d, one slice add per
+cofactor j, O(n log n) in all, and Q W is one convolution mod p.  A
+multiple of p as a adds nothing to W, since X^{pb} == Y^{pb} (mod p^2),
+and when W == 0 (mod p) the quotient is Q.  A factor with e_t = p stays
+as it is, since a numerator takes no Newton step anyway, and so do
+factors whose e_t p does not divide, higher prime powers and composite
+rings.
 
 The live steps have a gcd g, so the quotient is a series in q^g: it is
 built at order m = n // g over the steps t/g and inflated by g once at
@@ -89,7 +93,7 @@ and R is reduced mod M once: B_125 mod 5 is 183 slices of 101
 coefficients at m = 12,526 instead of a convolution of that order.  A
 numerator with more terms than STRIDED_PRODUCT_RATIO allows is multiplied
 by one convolution with the inverse inflated by h.  Every
-(q^t;q^t)^e these routes build, numerator, denominator or lifted X, has one
+(q^t;q^t)^e these routes build, numerator or denominator, has one
 builder: pow(e), or Jacobi's cube, placed, times (q;q)^{e-3} when e - 3 has
 fewer binary ones than e, at order n // t and inflated by t.
 
@@ -147,8 +151,9 @@ def _frobenius_split(exponents: dict[int, int], p: int) -> dict[int, int]:
 
 
 def _euler_power(m: int, t: int, e: int, ring: CoefficientRing) -> TruncatedSeries:
-    """(q^t;q^t)^e over Z/M to order m, for e >= 1, built at order m // t
-    and inflated by t: by pow(e), or Jacobi's cube, placed, times
+    """(q^t;q^t)^e over Z/M to order m, for e >= 1, a numerator or
+    denominator of :func:`_modular_quotient`, built at order m // t and
+    inflated by t: by pow(e), or Jacobi's cube, placed, times
     (q;q)^{e-3} when e - 3 has fewer binary ones than e, which takes no
     more squarings and at least one multiplication fewer (e = 3, 5, 7, 11,
     13, 15, ...)."""
@@ -214,22 +219,24 @@ def _lifted_quotient(
     live: dict[int, int], n: int, ring: CoefficientRing, p: int
 ) -> TruncatedSeries:
     """prod_t (q^t;q^t)^{e_t} over Z/p^2 to order n, p prime, for nonzero
-    e_t and 1 <= t <= n: each factor X_t^a, X_t = (q^t;q^t)^p and
-    a = e_t / p != 1, by the Frobenius lift (see the module docstring)."""
+    e_t and 1 <= t <= n, as Q + p (Q W mod p): each factor with
+    e_t = p a_t, a_t != 1, moves (q^{tp};q^{tp})^{a_t} into the map of Q
+    and a_t Z(q^t) into W (see the module docstring)."""
     lifted = {t: e // p for t, e in live.items() if e % p == 0 and e != p}
     eta = {t: e for t, e in live.items() if t not in lifted}
+    w = [0] * (n + 1)
     for t, a in lifted.items():
         eta[t * p] = eta.get(t * p, 0) + a
-    moved = {t: a for t, a in lifted.items() if a % p}  # X^{pb} == Y^{pb}
+        if a % p:  # a multiple of p adds nothing to W
+            # -a d^{p-2} mod p: -a/d, 0 when p | d, and a for every d if p = 2
+            f = [-a * pow(d, p - 2, p) % p for d in range(1, n // t + 1)]
+            for k in range(t, n + 1, t):  # f_d at t j d, for each cofactor j
+                w[k::k] = map(add, w[k::k], f)
     result = _modular_quotient(_live(eta, n), n, ring)
-    if not moved:
+    if not any(w):  # no a_t is nonzero mod p, so W == 0 (mod p)
         return result
-    result = result.scale(1 - sum(moved.values()))
-    x = _euler_power(n // min(moved), 1, p, ring)
-    for t, a in moved.items():
-        rest = _modular_quotient(_live({**eta, t * p: eta[t * p] - 1}, n), n, ring)
-        result += (x.resized(n // t).inflate(t).resized(n) * rest).scale(a)
-    return result
+    correction = TruncatedSeries(Mod(p), result.coeffs) * TruncatedSeries(Mod(p), w)
+    return result + TruncatedSeries(ring, correction.coeffs).scale(p)
 
 
 def _power(terms: list[tuple[int, int]], alpha: int, n: int) -> list[int]:

@@ -3,6 +3,7 @@ eta-quotients."""
 
 import hashlib
 import importlib.util
+from math import isqrt
 from pathlib import Path
 from unittest import mock
 
@@ -626,6 +627,7 @@ LIFT_EDGES = [
     ({1: -12, 2: 1, 12: 1, 24: -1}, 401, 4),  # bracelet:12 mod 4
     ({1: 11, 11: -1}, 400, 121),  # e_t == p stays as it is
     ({2: 22, 1: -11, 7: 33}, 400, 121),  # several lifted factors
+    ({1: -1000003, 2: 1}, 12, 1000003**2),  # p > n: no table over 1..p
 ]
 
 
@@ -635,9 +637,31 @@ def test_prime_square_lift_edges(exponents, n, modulus):
     assert eta_quotient(exponents, n, Mod(modulus)) == exact
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+@pytest.mark.parametrize("a", [-1, -3])
+def test_prime_square_lift_correction_alone(p, a):
+    # (q;q)^{pa} (q^p;q^p)^{-a}: Q = 1, so the quotient is 1 + p a Z with
+    # Z_N = -sum_{d | N, p does not divide d} 1/d mod p, and mod 4
+    # Z_N = [N is a nonzero square]
+    exponents = {1: p * a, p: -a}
+    for n in (0, 1, 2, 3, 400):
+        got = eta_quotient(exponents, n, Mod(p * p))
+        assert got == eta_quotient(exponents, n, EXACT).reduce_mod(p * p), n
+        if p == 2:
+            z = [int(N > 0 and isqrt(N) ** 2 == N) for N in range(n + 1)]
+        else:
+            z = [0] + [
+                -sum(pow(d, -1, p) for d in range(1, N + 1) if N % d == 0 and d % p)
+                for N in range(1, n + 1)
+            ]
+        want = [int(N == 0) + p * a * c for N, c in enumerate(z)]
+        assert got == TruncatedSeries(Mod(p * p), want), n
+
+
 def test_prime_square_lift_inverts_at_the_reduced_order_only(monkeypatch):
     # B_11 mod 121: (q;q)^-11 is lifted, so no Newton step runs at full
-    # order; the two quotients invert at orders 2221 // 22 and 2221 // 11
+    # order: Q = {2: 1, 22: -1} inverts once, at order 2221 // 22, and
+    # the correction raises no (q;q)^11
     orders = []
     real = TruncatedSeries.invert
 
@@ -646,8 +670,10 @@ def test_prime_square_lift_inverts_at_the_reduced_order_only(monkeypatch):
         return real(self)
 
     monkeypatch.setattr(TruncatedSeries, "invert", recording)
+    powers = _record(monkeypatch, "_euler_power")
     expand_source(bracelet_source(11), Mod(121), 2221)
-    assert sorted(orders) == [2221 // 22, 2221 // 11]
+    assert orders == [2221 // 22]
+    assert 11 not in [e for _, _, e, _ in powers]
 
 
 def test_prime_square_without_multiples_of_p_keeps_the_modular_route(monkeypatch):
@@ -664,8 +690,8 @@ def test_prime_square_without_multiples_of_p_keeps_the_modular_route(monkeypatch
 @pytest.mark.parametrize("e", range(1, 18))
 def test_euler_power_is_the_pth_power(e):
     # the one modular builder of (q^t;q^t)^e, from Jacobi's cube or not,
-    # against pow(e): e = p is the lift's X, other e the numerators and
-    # denominators of the Frobenius/Newton route
+    # against pow(e): the numerators and denominators of the
+    # Frobenius/Newton route
     for m in (4, 9, 12, 25, 121, 1_000_003):
         ring = Mod(m)
         for t in (1, 2, 5):
