@@ -61,6 +61,14 @@ def _unpack(value: int, lane: int, count: int) -> list[int]:
     ]
 
 
+_BITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _unpack_bits(value: int, count: int) -> list[int]:
+    """Bits 0..count-1 of a nonnegative int below 2^count, lowest first."""
+    return list(format(value, f"0{count}b")[::-1].encode().translate(_BITS))
+
+
 def conv_mod(x: list[int], y: list[int], n_out: int, m: int) -> list[int]:
     """Coefficients 0..n_out of x*y, entries canonical in [0, m).
 

@@ -72,8 +72,10 @@ W = sum_t a_t Z(q^t), and the quotient is Q + p (Q W mod p), where Q is
 the moved map's quotient by the route below: B_11 mod 121 gives
 Q = {2: 1, 22: -1}, inverted at order n // 22, so no Newton step runs
 at full order.  W is a sieve over Z/p: the weights f_d = -a d^{p-2} mod p,
-for d <= n // t only, go to every index t j d, one slice add per
-cofactor j, O(n log n) in all, and Q W is one convolution mod p.  A
+for d <= n // t only, go to every index t j d, O(n log n) in all, by
+2 s slice adds for s = isqrt(n // t): one of the constant f_d per
+d <= s, and one of the f_d with d > s per cofactor j <= s, since
+j d <= n // t puts d or j at most s.  Q W is one convolution mod p.  A
 multiple of p as a adds nothing to W, since X^{pb} == Y^{pb} (mod p^2),
 and when W == 0 (mod p) the quotient is Q.  A factor with e_t = p stays
 as it is, since a numerator takes no Newton step anyway, and so do
@@ -113,6 +115,7 @@ from itertools import repeat
 from math import gcd, isqrt
 from operator import add, mul, sub
 
+from . import _kernel
 from .oracles import MR_EXACT_BELOW, is_prime
 from .products import ProductSpec, product_series
 from .rings import EXACT, CoefficientRing, Mod
@@ -230,8 +233,11 @@ def _lifted_quotient(
         if a % p:  # a multiple of p adds nothing to W
             # -a d^{p-2} mod p: -a/d, 0 when p | d, and a for every d if p = 2
             f = [-a * pow(d, p - 2, p) % p for d in range(1, n // t + 1)]
-            for k in range(t, n + 1, t):  # f_d at t j d, for each cofactor j
-                w[k::k] = map(add, w[k::k], f)
+            s = isqrt(n // t)  # each pair j d <= n // t has d <= s or j <= s
+            for k in range(t, t * s + 1, t):
+                # k = t d: f_d at every t d j; k = t j: f_d, d > s, at t j d
+                w[k::k] = map(add, w[k::k], repeat(f[k // t - 1]))
+                w[k * (s + 1) :: k] = map(add, w[k * (s + 1) :: k], f[s:])
     result = _modular_quotient(_live(eta, n), n, ring)
     if not any(w):  # no a_t is nonzero mod p, so W == 0 (mod p)
         return result
@@ -386,13 +392,10 @@ def gf2_bits(exponents: dict[int, int], n: int) -> int:
     return bits
 
 
-_BITS = bytes.maketrans(b"01", b"\x00\x01")
-
-
 def _gf2_quotient(live: dict[int, int], n: int) -> TruncatedSeries:
     """:func:`gf2_bits` as a series over Z/2, one coefficient per bit."""
-    digits = format(gf2_bits(live, n), f"0{n + 1}b")[::-1].encode().translate(_BITS)
-    return TruncatedSeries(Mod(2), list(digits), normalize=False)
+    digits = _kernel._unpack_bits(gf2_bits(live, n), n + 1)
+    return TruncatedSeries(Mod(2), digits, normalize=False)
 
 
 def eta_quotient(

@@ -9,25 +9,27 @@ out, one binomial 1 + sign*q^m at a time, with no series inversion.  That
 keeps this code an independent cross-check for the eta-quotient expander in
 :mod:`qbracelet.generators`, whose modular route inverts by Newton iteration.
 
-One chain serves both rings (:func:`_packed_chain`): the whole series is
-one int of signed byte lanes, each binomial is one shift-add, and only
-before a lane could overflow are the lanes reduced mod M, or over Z widened
-to fit the largest coefficient.  A division by 1 - x is a product of
-binomials 1 + x^(2^i), and one by 1 + x is that times 1 - x, so the chain
-is still definitional: it makes no ``invert``, no Newton step, no Frobenius
-split and no convolution.  The chain shares only the lane packing helpers
-of :mod:`qbracelet._kernel` with that expander, which is why the tests
-check it against a plain list loop.  :func:`product_series` then raises
-each chain to ``|e|`` and multiplies the parts once as
-:class:`TruncatedSeries`, so those steps do run on ``_kernel.conv_mod`` and
-``conv_exact``, the expander's kernels, which ``tests/test_kernels.py``
-checks against a schoolbook reference.
+Each chain is one int (:func:`_packed_chain`).  Over Z/2 it has one bit per
+coefficient and each binomial is one shift-XOR.  Otherwise it has signed
+byte lanes and each binomial is one shift-add, and only before a lane could
+overflow are the lanes reduced mod M in place, by masks, shifts and a
+multiply of the whole int, or over Z widened to fit the largest
+coefficient.  A division by 1 - x is a product of binomials 1 + x^(2^i),
+and one by 1 + x is that times 1 - x, so the chain is still definitional:
+it makes no ``invert``, no Newton step, no Frobenius split and no
+convolution.  The chain shares only the lane and bit packing helpers of
+:mod:`qbracelet._kernel` with that expander, which is why the tests check
+it against a plain list loop.  :func:`product_series` then raises each
+chain to ``|e|`` and multiplies the parts once as :class:`TruncatedSeries`,
+so those steps do run on ``_kernel.conv_mod`` and ``conv_exact``, the
+expander's kernels, which ``tests/test_kernels.py`` checks against a
+schoolbook reference.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from functools import reduce
+from functools import lru_cache, reduce
 from operator import mul
 from typing import Iterable, Iterator, NamedTuple
 
@@ -145,10 +147,47 @@ class ProductSpec(NamedTuple):
         return text
 
 
-# Spare bytes in each lane of a packed chain above the bytes of the largest
-# |c| it was packed for: a shift-add at most doubles a lane, so 8 *
-# LANE_HEADROOM - 1 of them fit before the lanes are reduced, or widened.
+# Spare bytes in each lane of a packed chain over Z above the bytes of the
+# largest |c| it was packed for: a shift-add at most doubles a lane, so 8 *
+# LANE_HEADROOM - 1 of them fit before the lanes are widened.
 LANE_HEADROOM = 7
+
+
+@lru_cache(maxsize=None)
+def _lane_rounds(m: int, bits: int) -> tuple[tuple[tuple[int, int], ...], int]:
+    """The rounds (r, 2^r mod m) of the in-place reduction mod m of lanes
+    of ``bits`` bits, each in [0, 2^bits) once half = 2^(bits - 1) is
+    added to it, and the bound on every |c| once half mod m is taken off
+    again after them.  It is the same for every chain mod m, so it is
+    worked out once.
+
+    A round takes each lane v = lo + hi 2^r, lo < 2^r, to
+    lo + hi (2^r mod m), which is v again mod m, and r gives it the least
+    bound on a lane.  Each round found lowers that bound, and the first k
+    are taken for the k at which a reduction costs least per shift-add it
+    buys: two passes over the int and five a round, against the doublings
+    from its bound up to half, two passes each.
+    """
+    half = 1 << bits - 1
+    offset = half % m
+    # a round with 2^r < m maps every lane to itself
+    powers = {r: pow(2, r, m) for r in range((m - 1).bit_length(), bits)}
+    tops, rounds = [(1 << bits) - 1], []
+    while True:
+        top, r = min(
+            (min(tops[-1], (1 << r) - 1) + (tops[-1] >> r) * c, r)
+            for r, c in powers.items()
+        )
+        if top >= tops[-1]:
+            break
+        tops.append(top)
+        rounds.append((r, powers[r]))
+    bounds = [max(offset, top - offset) for top in tops]
+    k = min(
+        range(1, len(tops)),
+        key=lambda k: (2 + 5 * k) / ((half - 1) // (2 * bounds[k])).bit_length(),
+    )
+    return tuple(rounds[:k]), bounds[k]
 
 
 def _packed_chain(
@@ -157,21 +196,36 @@ def _packed_chain(
     """Coefficients 0..n, reduced mod m (exact when m is None), of the
     product of the binomials 1 + sign q^s over the (s, sign) pairs, 1 <= s <= n.
 
-    The series is one int of signed lanes, c_i in lane n + 1 - i, so a
-    right shift by s lanes is multiplication by q^s truncated at q^n, and
-    each binomial is one shift-add.  ``bound`` bounds every |c_i|.  Only
-    before a doubling could reach the largest value a signed lane holds are
-    the lanes unpacked: then reduced mod m, or over Z repacked in lanes wide
-    enough for the new bound max |c_i|.  Lane 0, never read, takes the
-    q^(n+1) terms and the borrow of each right shift: at most bound + 1 a
-    shift, which sums to less than the bound plus the shifts since the last
-    repack, so it stays in range too.
+    Over Z/2, where 1 - q^s == 1 + q^s, the series is one int with bit i
+    the coefficient of q^i, and each binomial is one shift-XOR masked to
+    n + 1 bits, which never needs a reduction.
+
+    Otherwise the series is one int of signed lanes, c_i in lane n + 1 - i,
+    so a right shift by s lanes is multiplication by q^s truncated at q^n,
+    and each binomial is one shift-add.  ``bound`` bounds every |c_i|, and
+    before a doubling could reach the largest value a signed lane holds,
+    half, the lanes are brought back down.  Over Z/M the lanes take the
+    bytes of M - 1 and one more, and are reduced in place, never leaving
+    the int: adding half to every lane puts each in [0, 2^bits), the rounds
+    of :func:`_lane_rounds` reduce them, each a few masks, shifts and one
+    multiply of the whole int, and taking half mod M off every lane again
+    leaves signed lanes congruent to the old ones.  Over Z the lanes are
+    unpacked and repacked wide enough for the new bound max |c_i|, with
+    LANE_HEADROOM spare bytes.  Lane 0, never read, takes the q^(n+1) terms
+    and the borrow of each right shift: at most bound + 1 a shift, which
+    sums to less than the bound plus the shifts since the last reduction,
+    so it stays in range too.  The int is unpacked once more at the end.
     """
+    if m == 2:
+        mask, word = (1 << (n + 1)) - 1, 1
+        for s, _ in shifts:
+            word = (word ^ word << s) & mask
+        return _kernel._unpack_bits(word, n + 1)
     count = n + 2
 
-    def lanes(top: int) -> tuple[int, int, int, int]:
+    def lanes(top: int, spare: int) -> tuple[int, int, int, int]:
         """Lane bytes and bits, half, and half in every lane, for |c| <= top."""
-        lane = (top.bit_length() + 7) // 8 + LANE_HEADROOM
+        lane = (top.bit_length() + 7) // 8 + spare
         half = 1 << (8 * lane - 1)  # a lane holds [-half, half)
         return lane, 8 * lane, half, _kernel._repeat(half, lane, count)
 
@@ -179,17 +233,28 @@ def _packed_chain(
         cs = _kernel._unpack(packed + halves, lane, count)[1:]
         return [c - half for c in cs] if m is None else [(c - half) % m for c in cs]
 
-    lane, bits, half, halves = lanes(1 if m is None else m - 1)
-    packed, bound = 1 << (bits * (n + 1)), 1
+    lane, bits, half, halves = lanes(1, LANE_HEADROOM) if m is None else lanes(m - 1, 1)
+    packed, bound, split = 1 << (bits * (n + 1)), 1, []
     for s, sign in shifts:
         if 2 * bound >= half:
-            cs = unpacked(packed)
             if m is None:
+                cs = unpacked(packed)
                 bound = max(map(abs, cs))
-                lane, bits, half, halves = lanes(bound)
+                lane, bits, half, halves = lanes(bound, LANE_HEADROOM)
                 packed = _kernel._pack([half, *(c + half for c in cs)], lane) - halves
             else:
-                packed, bound = _kernel._pack([0, *cs], lane), m - 1
+                if not split:
+                    rounds, reduced = _lane_rounds(m, bits)
+                    split = [
+                        (r, _kernel._repeat((1 << r) - 1, lane, count),
+                         _kernel._repeat((1 << bits - r) - 1, lane, count), c)
+                        for r, c in rounds
+                    ]
+                    offsets = _kernel._repeat(half % m, lane, count)
+                packed += halves
+                for r, low, high, c in split:
+                    packed = (packed & low) + (packed >> r & high) * c
+                packed, bound = packed - offsets, reduced
         shifted = packed >> (bits * s)
         packed = packed + shifted if sign > 0 else packed - shifted
         bound *= 2

@@ -8,8 +8,9 @@ from qbracelet import _kernel
 @pytest.fixture
 def kernel_calls(monkeypatch):
     """``kernel_calls(name)`` starts recording the arguments of every call
-    to ``_kernel.<name>`` (``conv_mod`` or ``conv_exact``) and returns the
-    list they go into, in call order."""
+    to ``_kernel.<name>`` (a kernel such as ``conv_mod``, or a packing
+    helper such as ``_unpack``) and returns the list they go into, in call
+    order."""
 
     def record(name):
         calls = []

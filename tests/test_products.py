@@ -140,9 +140,13 @@ def list_chain(sign, offset, step, n, modulus, divide):
     return cs
 
 
-# rings of the packed chain tests: small, composite and prime-power moduli,
-# moduli whose M - 1 takes 8, 9 and 16 bytes, and None, the exact integers
-CHAIN_MODULI = [2, 3, 12, 121, 2**61 - 1, 2**64 + 13, 2**127 - 1, None]
+# rings of the packed chain tests: Z/2 on one-bit lanes, small, composite and
+# prime-power moduli, moduli whose M - 1 takes 1, 2, 3, 8, 9 and 16 bytes
+# (255 and 256 the last of one byte, 257 and 65537 the first of more), and
+# None, the exact integers
+CHAIN_MODULI = [
+    2, 3, 5, 12, 121, 255, 256, 257, 65537, 2**61 - 1, 2**64 + 13, 2**127 - 1, None
+]
 
 
 @st.composite
@@ -172,12 +176,36 @@ def flat_lane_chain(n, k=140):
 
 @pytest.mark.parametrize("n", [200, 400])
 def test_packed_chain_reduces_before_a_lane_overflows(n):
-    # Mod 3 the flat lanes reduce to 2^j mod 3, which is 2 = M - 1 for odd
-    # j, and one of the two prefix lengths of 1 / (1 - q) makes the first
-    # reduction come at an odd j: the flat lanes then double up to the very
-    # bound the chain tracks, and a reduction one doubling late overflows them
+    # The in-place reduction takes 1 round at most of these moduli, 2 at
+    # 121, 3 at 86 and 4 at 26237.  The flat lanes all hold one value,
+    # which each shift-add doubles exactly, so a reduction one doubling
+    # late, or a bound tracked one doubling low, overflows them at every
+    # modulus here but 257
     shifts, expected = flat_lane_chain(n)
-    assert products._packed_chain(shifts, n, 3) == [c % 3 for c in expected]
+    for m in (3, 5, 86, 121, 255, 256, 257, 26237, 65537, 2**64 + 13):
+        assert products._packed_chain(shifts, n, m) == [c % m for c in expected], m
+
+
+@pytest.mark.parametrize("divide", [False, True])
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("offset, step", [(1, 1), (1, 2), (2, 3), (5, 5)])
+def test_bit_chains_match_list_chains(sign, offset, step, divide):
+    # over Z/2 the sign of a binomial does not matter: one shift-XOR each
+    build = pochhammer_inverse if divide else pochhammer_base
+    for n in (0, 1, 2, 62, 63, 64, 65, 400):
+        got = build(sign, offset, step, n, Mod(2))
+        assert got.coeffs == list_chain(sign, offset, step, n, 2, divide)
+
+
+@pytest.mark.parametrize("m, unpacks", [(2, 0), (3, 1), (121, 1), (257, 1), (2**61 - 1, 1)])
+def test_modular_chains_never_leave_the_packed_int(kernel_calls, m, unpacks):
+    # 1 / (q;q) to q^600 makes 1,196 shift-adds, so the lanes are reduced
+    # many times over, each time in place; Z/2 reads its one-bit lanes off
+    # without unpacking byte lanes at all
+    unpack, pack = kernel_calls("_unpack"), kernel_calls("_pack")
+    got = pochhammer_inverse(-1, 1, 1, 600, Mod(m))
+    assert got.coeffs == [c % m for c in partition_numbers(600)]
+    assert (len(unpack), pack) == (unpacks, [])
 
 
 @pytest.mark.parametrize("n", [200, 400])
@@ -233,6 +261,17 @@ def test_product_series_never_inverts(monkeypatch, build):
     monkeypatch.setattr(TruncatedSeries, "invert", counting)
     build()
     assert calls == []
+
+
+def test_product_series_raises_huge_exponents_by_squaring():
+    # one chain per factor, then pow: 37 squarings for e = 99999999999,
+    # where repeating each binomial e times would make 10^11 chain passes.
+    # Each factor is 1 + O(q), so its 7th power is 1 + O(q^7) mod 7, and up
+    # to q^5 the exact product reduced mod 7 is that with e mod 7
+    e = 99999999999
+    got = product_series(ProductSpec.parse(f"-1,1,2,{e};1,1,3,{-e}"), 5, Mod(7))
+    small = product_series(ProductSpec.parse(f"-1,1,2,{e % 7};1,1,3,{-(e % 7)}"), 5)
+    assert got.coeffs == small.reduce_mod(7).coeffs == [1, 6, 4, 6, 3, 2]
 
 
 def test_spec_key_roundtrip():
