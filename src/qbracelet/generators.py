@@ -11,7 +11,9 @@ Each family is stated as its defining :class:`ProductSpec`, as above.
 turns every (-q^t;q^t) into (q^{2t};q^{2t})/(q^t;q^t): B_k becomes the
 eta-quotient prod_t (q^t;q^t)^{e_t} with exponent map
 {1: -k, 2: 1, k: 1, 2k: -1}.  The eta map goes to :func:`eta_quotient`,
-any other factors to the binomial chains of :func:`product_series`.
+any other factors to the binomial chains of :func:`product_series`: over
+Z/M one chain for them all, but for a factor whose |e| makes pow cheaper
+than repeating its binomials, and over Z one chain per factor.
 :func:`eta_quotient` has three routes, chosen by the ring.
 
 Over Z: pentagonal recurrences, in two steps.  Each (q^t;q^t) has

@@ -19,9 +19,15 @@ and one by 1 + x is that times 1 - x, so the chain is still definitional:
 it makes no ``invert``, no Newton step, no Frobenius split and no
 convolution.  The chain shares only the lane and bit packing helpers of
 :mod:`qbracelet._kernel` with that expander, which is why the tests check
-it against a plain list loop.  :func:`product_series` then raises each
-chain to ``|e|`` and multiplies the parts once as :class:`TruncatedSeries`,
-so those steps do run on ``_kernel.conv_mod`` and ``conv_exact``, the
+it against a plain list loop.
+
+Over Z/M, :func:`product_series` builds the whole product as one chain,
+and a factor's binomials go into it |e| times wherever the repeats cost
+no more than the products they replace, priced by
+``CHAIN_PRODUCT_PRICE``.  Any other factor, and over Z every factor,
+where exact lanes widen with each repeat, takes its own chain, raised to
+``|e|``, and the parts are multiplied once as :class:`TruncatedSeries`.
+Those steps do run on ``_kernel.conv_mod`` and ``conv_exact``, the
 expander's kernels, which ``tests/test_kernels.py`` checks against a
 schoolbook reference.
 """
@@ -30,6 +36,8 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache, reduce
+from itertools import chain, repeat
+from math import isqrt
 from operator import mul
 from typing import Iterable, Iterator, NamedTuple
 
@@ -276,12 +284,30 @@ def _inverse_shifts(
             m *= 2
 
 
+def _binomials(
+    sign: int, offset: int, step: int, n: int, divide: bool
+) -> Iterator[tuple[int, int]]:
+    """The (s, sign) binomials of (sign q^offset; q^step)_inf to order n,
+    or of its inverse when ``divide``."""
+    PochhammerFactor(sign, offset, step)  # raises ValueError on a bad base
+    if divide:
+        return _inverse_shifts(sign, offset, step, n)
+    return zip(range(offset, n + 1, step), repeat(sign))
+
+
+def _binomial_count(offset: int, step: int, n: int, divide: bool) -> int:
+    """The length of ``_binomials(sign, offset, step, n, divide)``: a
+    divided factor takes one binomial per m 2^j <= n, that is per
+    m <= n >> j, for each of its m."""
+    tops = [n >> j for j in range(n.bit_length())] if divide else [n]
+    return sum(len(range(offset, top + 1, step)) for top in tops)
+
+
 def pochhammer_base(
     sign: int, offset: int, step: int, n: int, ring: CoefficientRing = EXACT
 ) -> TruncatedSeries:
     """Expand (sign q^offset; q^step)_inf to order n, one binomial at a time."""
-    PochhammerFactor(sign, offset, step)  # raises ValueError on a bad base
-    binomials = ((m, sign) for m in range(offset, n + 1, step))
+    binomials = _binomials(sign, offset, step, n, False)
     return TruncatedSeries(ring, _packed_chain(binomials, n, ring.modulus), normalize=False)
 
 
@@ -290,9 +316,18 @@ def pochhammer_inverse(
 ) -> TruncatedSeries:
     """Expand 1 / (sign q^offset; q^step)_inf to order n, dividing by one
     binomial at a time, each a chain of products (:func:`_inverse_shifts`)."""
-    PochhammerFactor(sign, offset, step)  # raises ValueError on a bad base
-    binomials = _inverse_shifts(sign, offset, step, n)
+    binomials = _binomials(sign, offset, step, n, True)
     return TruncatedSeries(ring, _packed_chain(binomials, n, ring.modulus), normalize=False)
+
+
+# C(n), the price of one full-order product over Z/M counted in binomial
+# shift-adds, is CHAIN_PRODUCT_PRICE * isqrt(n + 1): 144, 264 and 846 at
+# orders 600, 2000 and 20,000.  Measured (CPython 3.11, 2-CPU x86-64,
+# BENCH_29.json), a conv_mod at M = 5..257 there cost as much as 96-174,
+# 201-421 and 1,193-1,670 shift-adds of a chain, and over Z/2, where a
+# binomial is a shift-XOR, 863 to 16,951.  A price that grows like n
+# instead would repeat the binomials of factors whose pow is far cheaper.
+CHAIN_PRODUCT_PRICE = 6
 
 
 def product_series(
@@ -300,17 +335,44 @@ def product_series(
 ) -> TruncatedSeries:
     """Expansion of a full product spec to order n.
 
-    Each factor is expanded by its own binomial chain, multiplied in when
-    its exponent is positive and divided out when negative, raised to |e|,
-    and the parts are multiplied once; nothing is multiplied by one.
+    Each factor multiplies in its binomials when its exponent is positive
+    and divides them out when negative.  Over Z/M the product is one
+    chain, and a factor of B binomials goes into it |e| times when
+    (|e| - 1) B <= (bitlen |e| + popcount |e| - 1) C(n): its repeats cost
+    no more than the bitlen |e| + popcount |e| - 2 products of its pow and
+    the one that multiplies its part in, at C(n) = CHAIN_PRODUCT_PRICE
+    isqrt(n + 1) shift-adds each.  The merged chain is multiplied in once
+    too, so it is made only when the margins of its factors sum to at
+    least C(n).  Any other factor, and over Z every factor, where exact
+    lanes widen with each repeat, is expanded by its own chain and raised
+    to |e|, and the parts are multiplied once; nothing is multiplied by
+    one.  So a factor's repeats never add more than
+    (bitlen |e| + popcount |e| - 1) C(n) binomials, for any |e|.
     """
     if n < 0:
         raise ValueError("order must be >= 0")
-    parts = [
-        (pochhammer_base if f.exponent > 0 else pochhammer_inverse)(
-            f.sign, f.offset, f.step, n, ring
-        ).pow(abs(f.exponent))
-        for f in spec.factors
-        if f.exponent
-    ]
+    # a factor whose offset passes n is 1 up to q^n
+    factors = [f for f in spec.factors if f.exponent and f.offset <= n]
+    price, margins = CHAIN_PRODUCT_PRICE * isqrt(n + 1), []
+    for f in factors:
+        e = abs(f.exponent)
+        count = _binomial_count(f.offset, f.step, n, f.exponent < 0)
+        margins.append((e.bit_length() + e.bit_count() - 1) * price - (e - 1) * count)
+    merge = not ring.is_exact and sum(m for m in margins if m >= 0) >= price
+    chained, parts = [], []
+    for f, margin in zip(factors, margins):
+        if merge and margin >= 0:
+            chained.append(f)
+        else:
+            build = pochhammer_inverse if f.exponent < 0 else pochhammer_base
+            parts.append(build(f.sign, f.offset, f.step, n, ring).pow(abs(f.exponent)))
+    if chained:
+        binomials = chain.from_iterable(
+            _binomials(f.sign, f.offset, f.step, n, f.exponent < 0)
+            for f in chained
+            for _ in range(abs(f.exponent))
+        )
+        parts.append(
+            TruncatedSeries(ring, _packed_chain(binomials, n, ring.modulus), normalize=False)
+        )
     return reduce(mul, parts) if parts else TruncatedSeries.one(ring, n)

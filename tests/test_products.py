@@ -1,7 +1,7 @@
 """Pochhammer factor expansion, product assembly and the normal form."""
 
-from itertools import permutations
-from math import comb
+from itertools import islice, permutations
+from math import comb, isqrt
 from operator import add, sub
 
 import pytest
@@ -220,7 +220,8 @@ def test_packed_chain_widens_before_a_lane_overflows(n):
 
 def test_chains_are_called_through_their_module_names(monkeypatch):
     # the benchmark's tracer sees a chain only if callers look it up on the
-    # module at call time
+    # module at call time.  Over Z/M this product is one merged chain, so
+    # there it makes one _packed_chain call and neither of the two others
     calls = []
 
     def counting(name, real):
@@ -234,11 +235,113 @@ def test_chains_are_called_through_their_module_names(monkeypatch):
         for name in ("pochhammer_base", "pochhammer_inverse"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
-    product_series(ProductSpec.parse("-1,1,3,2;1,2,5,-1"), 50, Mod(7))
+    product_series(ProductSpec.parse("-1,1,3,2;1,2,5,-1"), 50, EXACT)
     assert calls == ["pochhammer_base", "pochhammer_inverse"]
     calls.clear()
     assert theta.jacobi_triple_check(0, 1, 40)
     assert calls == ["pochhammer_base"] * 3
+    calls.clear()
+    monkeypatch.setattr(
+        products, "_packed_chain", counting("_packed_chain", products._packed_chain)
+    )
+    product_series(ProductSpec.parse("-1,1,3,2;1,2,5,-1"), 50, Mod(7))
+    assert calls == ["_packed_chain"]
+
+
+CHAIN_CALL_LIMIT = 100_000
+
+
+@pytest.fixture
+def chain_calls(monkeypatch):
+    """Records the route of every product_series build: the name of each
+    pochhammer_base / pochhammer_inverse call, and ("_packed_chain", count)
+    for each chain, count the binomials it was given."""
+    calls = []
+
+    def chain(shifts, *args):
+        # a chain past the limit fails here rather than filling the memory
+        shifts = list(islice(shifts, CHAIN_CALL_LIMIT + 1))
+        assert len(shifts) <= CHAIN_CALL_LIMIT
+        calls.append(("_packed_chain", len(shifts)))
+        return real_chain(shifts, *args)
+
+    def named(name, real):
+        def wrapped(*args):
+            calls.append(name)
+            return real(*args)
+
+        return wrapped
+
+    real_chain = products._packed_chain
+    monkeypatch.setattr(products, "_packed_chain", chain)
+    for name in ("pochhammer_base", "pochhammer_inverse"):
+        monkeypatch.setattr(products, name, named(name, getattr(products, name)))
+    return calls
+
+
+@pytest.mark.parametrize(
+    "key, n, modulus, route",
+    [
+        # 1 / (q;q)^3 has 3,994 binomials to q^2000: 2 * 3,994 repeats
+        # against 3 products at C(2000) = 264, so it takes pow(3);
+        # (-q^4;q^17)^2 has 118, which go into the merged chain twice
+        ("-1,1,1,-3;1,4,17,2", 2000, 7,
+         ["pochhammer_inverse", ("_packed_chain", 3994), ("_packed_chain", 236)]),
+        # every factor merged: three copies of the 12 binomials of (q;q^3),
+        # and the 15 of the division by (-q^2;q^5)
+        ("-1,1,3,3;1,2,5,-1", 36, 25, [("_packed_chain", 3 * 12 + 15)]),
+        # |e| = 1 always merges, since it saves the multiply and costs nothing
+        ("-1,1,1,1;1,1,2,-1", 600, 2, [("_packed_chain", 600 + 600)]),
+        # (q;q^4)^2 has 500 binomials.  Repeating them replaces its squaring
+        # and its multiply, 2 C(2000) = 528 shift-adds: a margin of 28, which
+        # pays for the merged chain's own multiply, C(2000) = 264, only with
+        # the margin of another factor such as (-q;q)
+        ("-1,1,4,2", 2000, 25, ["pochhammer_base", ("_packed_chain", 500)]),
+        ("-1,1,4,2;1,1,1,1", 2000, 25, [("_packed_chain", 2 * 500 + 2000)]),
+        # every factor on the pow route
+        ("-1,1,1,5;-1,1,1,-4", 600, 121,
+         ["pochhammer_base", ("_packed_chain", 600),
+          "pochhammer_inverse", ("_packed_chain", 1196)]),
+        # over Z every factor keeps its own chain, raised to |e|
+        ("-1,1,3,3;1,2,5,-1", 36, None,
+         ["pochhammer_base", ("_packed_chain", 12),
+          "pochhammer_inverse", ("_packed_chain", 15)]),
+    ],
+)
+def test_product_series_merges_the_factors_that_cost_less_repeated(
+    chain_calls, key, n, modulus, route
+):
+    spec = ProductSpec.parse(key)
+    ring = EXACT if modulus is None else Mod(modulus)
+    got = product_series(spec, n, ring)
+    assert chain_calls == route
+    chain_calls.clear()
+    exact = product_series(spec, n, EXACT)
+    assert got == (exact if modulus is None else exact.reduce_mod(modulus))
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_huge_exponents_never_repeat_their_binomials(chain_calls, sign):
+    # 99999999999 copies of the 300 binomials of (q;q^2), or of the 600 of
+    # its inverse, would be over 10^13 shift-adds; the rule sends the
+    # factor to pow, 37 squarings, so no factor's repeats add more binomials
+    # than its pow would cost.  A factor with no binomial up to q^600 is 1
+    # there for any exponent, and makes no chain at all
+    e, n, ring = 99999999999, 600, Mod(7)
+    got = product_series(ProductSpec.parse(f"-1,1,2,{sign * e};-1,700,800,{e}"), n, ring)
+    build = pochhammer_base if sign > 0 else pochhammer_inverse
+    count = products._binomial_count(1, 2, n, sign < 0)
+    assert chain_calls == [build.__name__, ("_packed_chain", count)]
+    bound = (e.bit_length() + e.bit_count() - 1) * products.CHAIN_PRODUCT_PRICE * isqrt(n + 1)
+    assert count <= bound
+    assert got == build(-1, 1, 2, n, ring).pow(e)
+
+
+def test_binomial_counts_are_the_chain_lengths():
+    for sign, offset, step, divide in [(1, 1, 1, True), (-1, 3, 7, True), (-1, 2, 2, False)]:
+        for n in (0, 1, 2, 63, 64, 600, 601):
+            count = products._binomial_count(offset, step, n, divide)
+            assert count == len(list(products._binomials(sign, offset, step, n, divide)))
 
 
 @pytest.mark.parametrize(
@@ -343,3 +446,31 @@ def test_product_sources_match_definition(spec, modulus, n):
     assert expand_source(parse_source("product:" + spec.key()), ring, n) == expected
     form = spec.normal_form()
     assert all(ProductSpec(p).normal_form() == form for p in permutations(spec.factors))
+
+
+# moduli of the modular product property test: Z/2 on one-bit lanes, odd
+# primes, a composite, prime squares, a modulus past one byte and 2^61 - 1
+MERGED_CHAIN_MODULI = [2, 3, 12, 25, 121, 257, 2**61 - 1]
+
+
+@st.composite
+def powered_factors(draw):
+    step = draw(st.integers(1, 25))
+    exponent = draw(st.integers(1, 7)) * draw(st.sampled_from((-1, 1)))
+    return draw(st.sampled_from((-1, 1))), draw(st.integers(1, step)), step, exponent
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(powered_factors(), min_size=1, max_size=3),
+    st.sampled_from(MERGED_CHAIN_MODULI),
+    st.one_of(st.integers(0, 601), st.just(2000)),
+)
+@example([(-1, 1, 1, -3), (1, 4, 17, 2)], 2**61 - 1, 2000)
+@example([(-1, 1, 1, 7), (1, 1, 25, -7)], 257, 2000)
+def test_modular_products_equal_exact_then_reduce(factors, modulus, n):
+    # the merged chain and the pow route against the exact product, which
+    # takes one chain per factor and pow for every factor
+    spec = ProductSpec.of(*factors)
+    got = product_series(spec, n, Mod(modulus))
+    assert got == product_series(spec, n, EXACT).reduce_mod(modulus)
