@@ -335,9 +335,8 @@ def _pentagonal_quotient(live: dict[int, int], n: int) -> TruncatedSeries:
     the smallest t) first and any other multiplied in once; then, by
     increasing t, each factor with |e_t| <= 3 in place, by the cube's terms
     once when |e_t| == 3 and by the pentagonal terms |e_t| times otherwise,
-    multiplying by :func:`_sparse_product` (placing the terms by
-    :func:`_dense` when they multiply the starting 1) or dividing by
-    :func:`_divide`."""
+    multiplying by :func:`_sparse_product` (which places the terms when
+    they multiply the starting 1) or dividing by :func:`_divide`."""
     if not live:
         return TruncatedSeries.one(EXACT, n)
     powers = [
@@ -356,10 +355,7 @@ def _pentagonal_quotient(live: dict[int, int], n: int) -> TruncatedSeries:
         else:
             continue
         for terms in steps:
-            if e > 0 and len(cs) == 1:  # the starting 1: place the terms
-                _past_one(terms)
-                cs = _dense(terms, n, EXACT).coeffs
-            elif e > 0:
+            if e > 0:
                 cs = _sparse_product(terms, cs, 1, n)
             else:
                 cs += [0] * (n + 1 - len(cs))  # the starting 1, at full order

@@ -9,14 +9,16 @@ out, one binomial 1 + sign*q^m at a time, with no series inversion.  That
 keeps this code an independent cross-check for the eta-quotient expander in
 :mod:`qbracelet.generators`, whose modular route inverts by Newton iteration.
 
-Each chain is one int (:func:`_packed_chain`).  Over Z/2 it has one bit per
-coefficient and each binomial is one shift-XOR.  Otherwise it has signed
-byte lanes and each binomial is one shift-add, and only before a lane could
-overflow are the lanes reduced mod M in place, by masks, shifts and a
-multiply of the whole int, or over Z widened to fit the largest
-coefficient.  A division by 1 - x is a product of binomials 1 + x^(2^i),
-and one by 1 + x is that times 1 - x, so the chain is still definitional:
-it makes no ``invert``, no Newton step, no Frobenius split and no
+Each chain is one int (:func:`_packed_chain`), and it works mod M.  Over
+Z/2 it has one bit per coefficient and each binomial is one shift-XOR.
+Otherwise it has signed byte lanes and each binomial is one shift-add, and
+only before a lane could overflow are the lanes reduced mod M in place, by
+masks, shifts and a multiply of the whole int.  Over Z a factor's chain
+runs mod 2^b, where 2^(b - 2) exceeds the classical bound on the
+partition count that bounds each coefficient, and each lane is read back
+signed.  A division by 1 - x is a product of binomials 1 + x^(2^i), and
+one by 1 + x is that times 1 - x, so the chain is still definitional: it
+makes no ``invert``, no Newton step, no Frobenius split and no
 convolution.  The chain shares only the lane and bit packing helpers of
 :mod:`qbracelet._kernel` with that expander, which is why the tests check
 it against a plain list loop.
@@ -25,11 +27,11 @@ Over Z/M, :func:`product_series` builds the whole product as one chain,
 and a factor's binomials go into it |e| times wherever the repeats cost
 no more than the products they replace, priced by
 ``CHAIN_PRODUCT_PRICE``.  Any other factor, and over Z every factor,
-where exact lanes widen with each repeat, takes its own chain, raised to
-``|e|``, and the parts are multiplied once as :class:`TruncatedSeries`.
-Those steps do run on ``_kernel.conv_mod`` and ``conv_exact``, the
-expander's kernels, which ``tests/test_kernels.py`` checks against a
-schoolbook reference.
+whose lane width is bounded for that one factor, takes its own chain,
+raised to ``|e|``, and the parts are multiplied once as
+:class:`TruncatedSeries`.  Those steps do run on ``_kernel.conv_mod`` and
+``conv_exact``, the expander's kernels, which ``tests/test_kernels.py``
+checks against a schoolbook reference.
 """
 
 from __future__ import annotations
@@ -155,12 +157,6 @@ class ProductSpec(NamedTuple):
         return text
 
 
-# Spare bytes in each lane of a packed chain over Z above the bytes of the
-# largest |c| it was packed for: a shift-add at most doubles a lane, so 8 *
-# LANE_HEADROOM - 1 of them fit before the lanes are widened.
-LANE_HEADROOM = 7
-
-
 @lru_cache(maxsize=None)
 def _lane_rounds(m: int, bits: int) -> tuple[tuple[tuple[int, int], ...], int]:
     """The rounds (r, 2^r mod m) of the in-place reduction mod m of lanes
@@ -198,11 +194,9 @@ def _lane_rounds(m: int, bits: int) -> tuple[tuple[tuple[int, int], ...], int]:
     return tuple(rounds[:k]), bounds[k]
 
 
-def _packed_chain(
-    shifts: Iterable[tuple[int, int]], n: int, m: int | None = None
-) -> list[int]:
-    """Coefficients 0..n, reduced mod m (exact when m is None), of the
-    product of the binomials 1 + sign q^s over the (s, sign) pairs, 1 <= s <= n.
+def _packed_chain(shifts: Iterable[tuple[int, int]], n: int, m: int) -> list[int]:
+    """Coefficients 0..n, reduced mod m, of the product of the binomials
+    1 + sign q^s over the (s, sign) pairs, 1 <= s <= n.
 
     Over Z/2, where 1 - q^s == 1 + q^s, the series is one int with bit i
     the coefficient of q^i, and each binomial is one shift-XOR masked to
@@ -210,63 +204,65 @@ def _packed_chain(
 
     Otherwise the series is one int of signed lanes, c_i in lane n + 1 - i,
     so a right shift by s lanes is multiplication by q^s truncated at q^n,
-    and each binomial is one shift-add.  ``bound`` bounds every |c_i|, and
-    before a doubling could reach the largest value a signed lane holds,
-    half, the lanes are brought back down.  Over Z/M the lanes take the
-    bytes of M - 1 and one more, and are reduced in place, never leaving
-    the int: adding half to every lane puts each in [0, 2^bits), the rounds
-    of :func:`_lane_rounds` reduce them, each a few masks, shifts and one
-    multiply of the whole int, and taking half mod M off every lane again
-    leaves signed lanes congruent to the old ones.  Over Z the lanes are
-    unpacked and repacked wide enough for the new bound max |c_i|, with
-    LANE_HEADROOM spare bytes.  Lane 0, never read, takes the q^(n+1) terms
-    and the borrow of each right shift: at most bound + 1 a shift, which
-    sums to less than the bound plus the shifts since the last reduction,
-    so it stays in range too.  The int is unpacked once more at the end.
+    and each binomial is one shift-add.  The lanes take the bytes of m - 1
+    and one more.  ``bound`` bounds every |c_i|, and before a doubling
+    could reach the largest value a signed lane holds, half, the lanes are
+    reduced mod m in place, never leaving the int: adding half to every
+    lane puts each in [0, 2^bits), the rounds of :func:`_lane_rounds`
+    reduce them, each a few masks, shifts and one multiply of the whole
+    int, and taking half mod m off every lane again leaves signed lanes
+    congruent to the old ones.  When m divides 2^r, as m = 2^b of an exact
+    chain (:func:`_chain_series`) does, a round is one mask, and half mod m
+    is 0.  Lane 0, never read, takes the q^(n+1) terms and the borrow of
+    each right shift: at most bound + 1 a shift, which sums to less than
+    the bound plus the shifts since the last reduction, so it stays in
+    range too.  The int is unpacked once, at the end.
     """
     if m == 2:
         mask, word = (1 << (n + 1)) - 1, 1
         for s, _ in shifts:
             word = (word ^ word << s) & mask
         return _kernel._unpack_bits(word, n + 1)
-    count = n + 2
-
-    def lanes(top: int, spare: int) -> tuple[int, int, int, int]:
-        """Lane bytes and bits, half, and half in every lane, for |c| <= top."""
-        lane = (top.bit_length() + 7) // 8 + spare
-        half = 1 << (8 * lane - 1)  # a lane holds [-half, half)
-        return lane, 8 * lane, half, _kernel._repeat(half, lane, count)
-
-    def unpacked(packed: int) -> list[int]:
-        cs = _kernel._unpack(packed + halves, lane, count)[1:]
-        return [c - half for c in cs] if m is None else [(c - half) % m for c in cs]
-
-    lane, bits, half, halves = lanes(1, LANE_HEADROOM) if m is None else lanes(m - 1, 1)
+    count, lane = n + 2, ((m - 1).bit_length() + 7) // 8 + 1
+    bits = 8 * lane
+    half = 1 << bits - 1  # a lane holds [-half, half)
+    halves = _kernel._repeat(half, lane, count)
     packed, bound, split = 1 << (bits * (n + 1)), 1, []
     for s, sign in shifts:
         if 2 * bound >= half:
-            if m is None:
-                cs = unpacked(packed)
-                bound = max(map(abs, cs))
-                lane, bits, half, halves = lanes(bound, LANE_HEADROOM)
-                packed = _kernel._pack([half, *(c + half for c in cs)], lane) - halves
-            else:
-                if not split:
-                    rounds, reduced = _lane_rounds(m, bits)
-                    split = [
-                        (r, _kernel._repeat((1 << r) - 1, lane, count),
-                         _kernel._repeat((1 << bits - r) - 1, lane, count), c)
-                        for r, c in rounds
-                    ]
-                    offsets = _kernel._repeat(half % m, lane, count)
-                packed += halves
-                for r, low, high, c in split:
-                    packed = (packed & low) + (packed >> r & high) * c
-                packed, bound = packed - offsets, reduced
+            if not split:
+                rounds, reduced = _lane_rounds(m, bits)
+                split = [
+                    (r, _kernel._repeat((1 << r) - 1, lane, count),
+                     _kernel._repeat((1 << bits - r) - 1, lane, count), c)
+                    for r, c in rounds
+                ]
+                offsets = _kernel._repeat(half % m, lane, count)
+            packed += halves
+            for r, low, high, c in split:
+                packed = (packed & low) + (packed >> r & high) * c if c else packed & low
+            if offsets:
+                packed -= offsets
+            bound = reduced
         shifted = packed >> (bits * s)
         packed = packed + shifted if sign > 0 else packed - shifted
         bound *= 2
-    return unpacked(packed)[::-1]
+    cs = _kernel._unpack(packed + halves, lane, count)[1:]
+    return [(c - half) % m for c in reversed(cs)]
+
+
+def _chain_series(
+    shifts: Iterable[tuple[int, int]], n: int, ring: CoefficientRing, bits: int
+) -> TruncatedSeries:
+    """The product of the binomials over the ring, by :func:`_packed_chain`.
+    Over Z, for binomials whose product has every |c_i| < 2^(bits - 1), the
+    chain runs mod 2^bits and each lane is read back from
+    (-2^(bits - 1), 2^(bits - 1)), where that c_i lies."""
+    if not ring.is_exact:
+        return TruncatedSeries(ring, _packed_chain(shifts, n, ring.modulus), normalize=False)
+    m = 1 << bits
+    cs = [c - m if 2 * c >= m else c for c in _packed_chain(shifts, n, m)]
+    return TruncatedSeries(ring, cs, normalize=False)
 
 
 def _inverse_shifts(
@@ -306,18 +302,38 @@ def _binomial_count(offset: int, step: int, n: int, divide: bool) -> int:
 def pochhammer_base(
     sign: int, offset: int, step: int, n: int, ring: CoefficientRing = EXACT
 ) -> TruncatedSeries:
-    """Expand (sign q^offset; q^step)_inf to order n, one binomial at a time."""
+    """Expand (sign q^offset; q^step)_inf to order n, one binomial at a time.
+
+    Over Z the chain runs mod 2^b, b = isqrt(7n) + 3.  The coefficient of
+    q^i is a signed count of the partitions of i into distinct parts
+    offset + j step, so |c_i| <= Q(i), the count into any distinct parts,
+    and Q(i) x^i <= prod_{k>=1} (1 + x^k) for 0 < x < 1.  At x = e^-t,
+    sum_k log(1 + e^-kt) < int_0^oo log(1 + e^-ut) du = pi^2 / (12 t),
+    since the summand decreases, so log Q(i) < i t + pi^2 / (12 t) for
+    every t > 0, whose least value is pi sqrt(i/3).  And
+    pi / sqrt(3) < sqrt(7) log 2, so |c_i| <= 2^sqrt(7n) < 2^(b - 2): the
+    sign bit and one bit more are spare."""
     binomials = _binomials(sign, offset, step, n, False)
-    return TruncatedSeries(ring, _packed_chain(binomials, n, ring.modulus), normalize=False)
+    return _chain_series(binomials, n, ring, isqrt(7 * n) + 3)
 
 
 def pochhammer_inverse(
     sign: int, offset: int, step: int, n: int, ring: CoefficientRing = EXACT
 ) -> TruncatedSeries:
     """Expand 1 / (sign q^offset; q^step)_inf to order n, dividing by one
-    binomial at a time, each a chain of products (:func:`_inverse_shifts`)."""
+    binomial at a time, each a chain of products (:func:`_inverse_shifts`).
+
+    Over Z the chain runs mod 2^b, b = isqrt(14n) + 3.  The coefficient of
+    q^i is a signed count of the partitions of i into parts
+    offset + j step, so |c_i| <= p(i), and
+    p(i) x^i <= prod_{k>=1} 1 / (1 - x^k) for 0 < x < 1.  At x = e^-t,
+    sum_k -log(1 - e^-kt) < int_0^oo -log(1 - e^-ut) du = pi^2 / (6 t),
+    since the summand decreases, so log p(i) < i t + pi^2 / (6 t) for
+    every t > 0, whose least value is pi sqrt(2i/3).  And
+    pi sqrt(2/3) < sqrt(14) log 2, so |c_i| <= 2^sqrt(14n) < 2^(b - 2):
+    the sign bit and one bit more are spare."""
     binomials = _binomials(sign, offset, step, n, True)
-    return TruncatedSeries(ring, _packed_chain(binomials, n, ring.modulus), normalize=False)
+    return _chain_series(binomials, n, ring, isqrt(14 * n) + 3)
 
 
 # C(n), the price of one full-order product over Z/M counted in binomial
@@ -343,10 +359,10 @@ def product_series(
     the one that multiplies its part in, at C(n) = CHAIN_PRODUCT_PRICE
     isqrt(n + 1) shift-adds each.  The merged chain is multiplied in once
     too, so it is made only when the margins of its factors sum to at
-    least C(n).  Any other factor, and over Z every factor, where exact
-    lanes widen with each repeat, is expanded by its own chain and raised
-    to |e|, and the parts are multiplied once; nothing is multiplied by
-    one.  So a factor's repeats never add more than
+    least C(n).  Any other factor, and over Z every factor, whose lane
+    width is bounded for that one factor, is expanded by its own chain and
+    raised to |e|, and the parts are multiplied once; nothing is multiplied
+    by one.  So a factor's repeats never add more than
     (bitlen |e| + popcount |e| - 1) C(n) binomials, for any |e|.
     """
     if n < 0:

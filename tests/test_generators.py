@@ -509,11 +509,15 @@ def test_gf2_bits_merge_factors_by_odd_part(monkeypatch):
 )
 @pytest.mark.parametrize("n", [2, 3, 400])  # at order 0 every factor meets [1]
 def test_a_factor_on_the_starting_one_is_placed(monkeypatch, exponents, sparse_products, n):
-    # the first in-place factor, when it multiplies the starting 1, places
-    # its terms; only a factor applied after another makes a sparse product
+    # every positive in-place factor is one sparse product.  The first, the
+    # smallest t here, when it multiplies the starting 1 takes d == [1],
+    # which places its terms; sparse_products counts those applied after
+    # another factor.  A factor whose step passes n is 1 and makes none
     calls = _record(monkeypatch, "_sparse_product")
     got = eta_quotient(exponents, n)
-    assert len(calls) == sparse_products
+    first = min(exponents)
+    placed = [True] * (first <= n and exponents[first] > 0) + [False] * sparse_products
+    assert [d == [1] for _, d, _, _ in calls] == placed
     spec = ProductSpec.of(*((-1, t, t, e) for t, e in exponents.items()))
     assert got == product_series(spec, n, EXACT)
 

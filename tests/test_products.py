@@ -40,9 +40,28 @@ def test_negative_exponent_gives_partition_numbers():
 
 
 def test_exact_division_chain_gives_partition_numbers():
-    # 1/(q;q) by the exact chain, whose lanes widen well past 8 bytes by
-    # q^2000, against the pentagonal recurrence
+    # 1/(q;q) to q^2000 by the exact chain, mod 2^170, against the
+    # pentagonal recurrence: its coefficients p(n) are the largest an exact
+    # inverse chain takes, so it runs nearest its lane bound
     assert pochhammer_inverse(-1, 1, 1, 2000).coeffs == partition_numbers(2000)
+
+
+def test_exact_product_chain_gives_distinct_part_counts():
+    # (-q;q) to q^2000 by the exact chain, mod 2^121, against the list
+    # loop: its coefficients Q(n) are the largest an exact product chain
+    # takes
+    assert pochhammer_base(1, 1, 1, 2000).coeffs == list_chain(1, 1, 1, 2000, None, False)
+
+
+def test_exact_chain_lanes_bound_the_partition_counts():
+    # an exact chain runs mod 2^b and reads lanes in (-2^(b-1), 2^(b-1)):
+    # b = isqrt(7n) + 3 for a product, whose |c_i| <= Q(i), and
+    # b = isqrt(14n) + 3 for an inverse, whose |c_i| <= p(i); each bound
+    # leaves one bit more than the sign bit
+    ps, qs = partition_numbers(2000), list_chain(1, 1, 1, 2000, None, False)
+    for n in range(2001):
+        assert qs[n] < 1 << isqrt(7 * n) + 2, n
+        assert ps[n] < 1 << isqrt(14 * n) + 2, n
 
 
 def test_factor_validation():
@@ -166,7 +185,7 @@ def test_packed_chains_match_list_chains(chain, n, modulus, divide):
     assert got.coeffs == list_chain(*chain, n, modulus, divide)
 
 
-def flat_lane_chain(n, k=140):
+def flat_lane_chain(n, k=190):
     """The binomials of (1 + q)^k / (1 - q) to order n, and its coefficients
     sum_{i <= j} C(k, i).  From index k on every coefficient is 2^k, so each
     shift-add doubles these flat lanes exactly."""
@@ -180,9 +199,11 @@ def test_packed_chain_reduces_before_a_lane_overflows(n):
     # 121, 3 at 86 and 4 at 26237.  The flat lanes all hold one value,
     # which each shift-add doubles exactly, so a reduction one doubling
     # late, or a bound tracked one doubling low, overflows them at every
-    # modulus here but 257
+    # modulus here but 257.  2^48 ... 2^170 are the moduli of the exact
+    # chains at orders 300, 600 and 2000, and 2^190 fills even their lanes
     shifts, expected = flat_lane_chain(n)
-    for m in (3, 5, 86, 121, 255, 256, 257, 26237, 65537, 2**64 + 13):
+    for m in (3, 5, 86, 121, 255, 256, 257, 26237, 65537, 2**64 + 13,
+              2**48, 2**67, 2**94, 2**121, 2**170):
         assert products._packed_chain(shifts, n, m) == [c % m for c in expected], m
 
 
@@ -197,25 +218,18 @@ def test_bit_chains_match_list_chains(sign, offset, step, divide):
         assert got.coeffs == list_chain(sign, offset, step, n, 2, divide)
 
 
-@pytest.mark.parametrize("m, unpacks", [(2, 0), (3, 1), (121, 1), (257, 1), (2**61 - 1, 1)])
+@pytest.mark.parametrize(
+    "m, unpacks", [(2, 0), (3, 1), (121, 1), (257, 1), (2**61 - 1, 1), (None, 1)]
+)
 def test_modular_chains_never_leave_the_packed_int(kernel_calls, m, unpacks):
     # 1 / (q;q) to q^600 makes 1,196 shift-adds, so the lanes are reduced
     # many times over, each time in place; Z/2 reads its one-bit lanes off
-    # without unpacking byte lanes at all
+    # without unpacking byte lanes at all, and Z runs mod 2^94
     unpack, pack = kernel_calls("_unpack"), kernel_calls("_pack")
-    got = pochhammer_inverse(-1, 1, 1, 600, Mod(m))
-    assert got.coeffs == [c % m for c in partition_numbers(600)]
+    got = pochhammer_inverse(-1, 1, 1, 600, EXACT if m is None else Mod(m))
+    exact = partition_numbers(600)
+    assert got.coeffs == (exact if m is None else [c % m for c in exact])
     assert (len(unpack), pack) == (unpacks, [])
-
-
-@pytest.mark.parametrize("n", [200, 400])
-def test_packed_chain_widens_before_a_lane_overflows(n):
-    # Over Z a widening sets the bound to the largest |c|, here a flat lane:
-    # the flat lanes then double up to the very bound the chain tracks, and
-    # a widening one doubling late overflows them.  Real chains stay far
-    # below the tracked bound, so only flat lanes catch that
-    shifts, expected = flat_lane_chain(n)
-    assert products._packed_chain(shifts, n) == expected
 
 
 def test_chains_are_called_through_their_module_names(monkeypatch):
